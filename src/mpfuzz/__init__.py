@@ -2,7 +2,7 @@
 replay for asymmetric denial-of-mempool-service analysis."""
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
-                      WorldState, adversarial, benign, classify, fee)
+                      WorldState, adversarial, benign, classify)
 from .mempool import (AdmissionOutcome, DeclineReason, EvictionRule,
                       MempoolPolicy, MempoolState, TurningRule,
                       VULNERABILITY_MATRIX, admit, build_block, fill_normal,
@@ -13,7 +13,7 @@ from .symbolic import (InfeasibleSymbol, InstantiationContext, SymbolizedTx,
                        serialize_input, symbolize_state, symbolize_tx)
 from .oracle import (OracleConfig, OracleVerdict, asym_D, asym_E,
                      check_eviction, check_locking, classify_tp_fp)
-from .fuzzer import FuzzResult, run_fuzzer, mpfuzz
+from .fuzzer import FuzzResult, run_fuzzer
 from .exploitkit import (Exploit, ExtensionFailed, PatternIncompatible,
                          ReplayReport, WorkloadSpec, XT_PATTERNS,
                          base_price_step, base_price_step_float, dedup,

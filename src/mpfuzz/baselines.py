@@ -15,6 +15,7 @@ independent.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -26,6 +27,13 @@ from .oracle import OracleConfig, check_eviction
 from .txmodel import Transaction, adversarial
 
 BASELINE_KINDS = ("B1", "B2", "B3", "B4")
+
+# Transactions parsed from each B1 random input.
+B1_TXS_PER_INPUT = 32
+# Branching factors chosen empirically: B2's blind breadth-first search only
+# reaches exploit depth within budget when the tree is narrow, while B3's
+# greedy priority benefits from a wider fan-out.
+CHILDREN_PER_SEED = {"B2": 24, "B3": 64}
 
 
 @dataclass
@@ -39,25 +47,17 @@ class BaselineResult:
 def run_baseline(kind: str, policy: MempoolPolicy,
                  cfg: Optional[OracleConfig] = None,
                  budget_mutations: int = 2_000_000,
-                 rng_seed: int = 0,
-                 budget_seconds: float = 3600.0,
-                 children_per_seed: Optional[int] = None,
-                 txs_per_input: int = 32) -> BaselineResult:
+                 rng_seed: int = 0) -> BaselineResult:
+    """Run one baseline until its first exploit or `budget_mutations`."""
     cfg = cfg or OracleConfig()
     if kind == "B1":
-        return _run_b1(policy, cfg, budget_mutations, rng_seed,
-                       txs_per_input)
+        return _run_b1(policy, cfg, budget_mutations, rng_seed)
     if kind in ("B2", "B3"):
-        # Branching factors chosen empirically: B2's blind breadth-first
-        # search only reaches exploit depth within budget when the tree is
-        # narrow, while B3's greedy priority benefits from a wider fan-out.
-        if children_per_seed is None:
-            children_per_seed = 24 if kind == "B2" else 64
         return _run_concrete(kind, policy, cfg, budget_mutations, rng_seed,
-                             children_per_seed)
+                             CHILDREN_PER_SEED[kind])
     if kind == "B4":
         res = run_fuzzer(policy, cfg, budget_mutations=budget_mutations,
-                         budget_seconds=budget_seconds, rng_seed=rng_seed,
+                         budget_seconds=math.inf, rng_seed=rng_seed,
                          promising=False, modes=("eviction",),
                          stop_on_first=True)
         return BaselineResult("B4", res.first_exploit_mutations is not None,
@@ -68,11 +68,10 @@ def run_baseline(kind: str, policy: MempoolPolicy,
 def run_reference(policy: MempoolPolicy,
                   cfg: Optional[OracleConfig] = None,
                   budget_mutations: int = 2_000_000,
-                  rng_seed: int = 0,
-                  budget_seconds: float = 3600.0) -> BaselineResult:
+                  rng_seed: int = 0) -> BaselineResult:
     """The symbolized fuzzer itself, measured on the same metric."""
     res = run_fuzzer(policy, cfg, budget_mutations=budget_mutations,
-                     budget_seconds=budget_seconds, rng_seed=rng_seed,
+                     budget_seconds=math.inf, rng_seed=rng_seed,
                      promising=True, modes=("eviction",),
                      stop_on_first=True)
     return BaselineResult("mpfuzz", res.first_exploit_mutations is not None,
@@ -82,17 +81,16 @@ def run_reference(policy: MempoolPolicy,
 # -- B1: stateless -----------------------------------------------------------
 
 def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
-            budget: int, rng_seed: int,
-            txs_per_input: int) -> BaselineResult:
+            budget: int, rng_seed: int) -> BaselineResult:
     """Random byte strings, 8 bytes per transaction, no feedback."""
     rng = random.Random(rng_seed)
     m = policy.capacity
     mutations = 0
     while mutations < budget:
-        raw = rng.randbytes(8 * txs_per_input)
+        raw = rng.randbytes(8 * B1_TXS_PER_INPUT)
         state = new_pool(policy)
         st0 = fill_normal(state, m)
-        for i in range(txs_per_input):
+        for i in range(B1_TXS_PER_INPUT):
             if mutations >= budget:
                 break
             chunk = raw[8 * i:8 * (i + 1)]

@@ -11,17 +11,13 @@ import csv
 import json
 import os
 import statistics
-import sys
-from dataclasses import replace
 from typing import Optional
 
 import click
 
 from .baselines import BASELINE_KINDS, run_baseline, run_reference
-from .exploitkit import (Exploit, ExtensionFailed, PatternIncompatible,
-                         WorkloadSpec, XT_PATTERNS, extend, generate_xt,
-                         pattern_kind, replay, run_pattern,
-                         vulnerability_matrix)
+from .exploitkit import (Exploit, ExtensionFailed, WorkloadSpec, XT_PATTERNS,
+                         extend, replay, run_pattern)
 from .mempool import (MempoolPolicy, PRESET_FAMILIES, VULNERABILITY_MATRIX,
                       policy_preset)
 from .oracle import OracleConfig
@@ -39,12 +35,15 @@ def _resolve_policy(preset: Optional[str], config: dict) -> MempoolPolicy:
     name = preset or config.get("preset")
     if not name:
         raise click.UsageError("no preset given (flag --preset or config)")
-    policy = policy_preset(name)
-    overrides = config.get("policy", {})
-    if overrides:
-        merged = policy.to_json()
-        merged.update(overrides)
-        policy = MempoolPolicy.from_json(merged)
+    try:
+        policy = policy_preset(name)
+        overrides = config.get("policy", {})
+        if overrides:
+            merged = policy.to_json()
+            merged.update(overrides)
+            policy = MempoolPolicy.from_json(merged)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     return policy
 
 
@@ -94,14 +93,11 @@ def common_options(fn):
 @common_options
 @click.option("--budget-mutations", type=int, default=None)
 @click.option("--budget-seconds", type=float, default=None)
-@click.option("--workers", type=int, default=1,
-              help="Worker processes (candidate evaluation is serial "
-                   "and deterministic; kept for interface stability).")
 @click.option("--no-cache", is_flag=True, default=False,
               help="Re-execute every input instead of trusting cached "
                    "concrete states.")
 def fuzz(config_path, preset, epsilon, lam, seed, out_dir,
-         budget_mutations, budget_seconds, workers, no_cache):
+         budget_mutations, budget_seconds, no_cache):
     """Run the symbolized fuzzer and write exploits + progress log."""
     config = _load_config(config_path)
     policy = _resolve_policy(preset, config)

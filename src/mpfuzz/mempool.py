@@ -16,9 +16,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from .txmodel import (GAS_PER_TX, AccountState, Address, Role, Transaction,
-                      ValidityClass, WorldState, adversarial, benign, classify,
-                      consecutive_chain)
+from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
+                      WorldState, benign, classify)
 
 NORMAL_PRICE = 3
 NORMAL_VALUE = 1
@@ -61,6 +60,15 @@ class MempoolPolicy:
     reversal_guard: bool = False
     future_eviction_guard: bool = False
     latent_admission_guard: bool = False
+
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise ValueError(f"policy {self.name}: capacity must be at "
+                             f"least 1, got {self.capacity}")
+        for fld in ("future_quota", "sender_limit", "sender_limit_threshold"):
+            if getattr(self, fld) < 0:
+                raise ValueError(f"policy {self.name}: {fld} must not be "
+                                 f"negative, got {getattr(self, fld)}")
 
     def to_json(self) -> dict:
         return {
@@ -441,10 +449,6 @@ class MempoolState:
 
     # -- serialization ---------------------------------------------------
 
-    def sorted_txs(self) -> List[Transaction]:
-        return sorted(self.txs(), key=lambda t: (t.sender.role.value,
-                                                 t.sender.index, t.nonce))
-
     def to_json(self) -> dict:
         return {
             "policy": self.policy.name,
@@ -489,6 +493,19 @@ def fill_normal(state: MempoolState, count: int) -> List[Transaction]:
         state.admit_mut(tx)
         out.append(tx)
     return out
+
+
+def probe_declines(state: MempoolState,
+                   count: int) -> Tuple[MempoolState, List[Transaction]]:
+    """Offer `count` benign arrivals to a copy of the pool.
+
+    Returns the copy with the arrivals applied and the arrivals it
+    declined; `state` itself is untouched.
+    """
+    probe = state.clone()
+    before = len(probe.declined)
+    fill_normal(probe, count)
+    return probe, [tx for tx, _ in probe.declined[before:]]
 
 
 def build_block(state: MempoolState, gas_limit: int) -> List[Transaction]:
@@ -546,8 +563,7 @@ def _geth_reduced_params(m: int) -> Tuple[int, int, int]:
     return (py1, py2, py3)
 
 
-def _base_preset(family: str, m: Optional[int],
-                 pys: Optional[Tuple[int, int, int]]) -> MempoolPolicy:
+def _base_preset(family: str, m: Optional[int]) -> MempoolPolicy:
     if family in ("geth-legacy", "geth-1.11"):
         if m is None:
             m = _GETH_FULL["capacity"]
@@ -555,7 +571,7 @@ def _base_preset(family: str, m: Optional[int],
                              _GETH_FULL["sender_limit"],
                              _GETH_FULL["sender_limit_threshold"])
         else:
-            py1, py2, py3 = pys if pys else _geth_reduced_params(m)
+            py1, py2, py3 = _geth_reduced_params(m)
         if family == "geth-legacy":
             return MempoolPolicy(
                 name="geth-legacy", capacity=m, future_quota=m,
@@ -571,10 +587,7 @@ def _base_preset(family: str, m: Optional[int],
             future_eviction_guard=True, latent_admission_guard=True)
     if family in ("besu-legacy", "besu-22.7"):
         mm = m if m is not None else 4096
-        if pys:
-            _, py2, _ = pys
-        else:
-            py2 = 16 if m is None else _geth_reduced_params(mm)[1]
+        py2 = 16 if m is None else _geth_reduced_params(mm)[1]
         return MempoolPolicy(
             name=family, capacity=mm, future_quota=mm,
             sender_limit=py2, sender_limit_threshold=0,
@@ -622,7 +635,8 @@ def policy_preset(name: str) -> MempoolPolicy:
     """Resolve a preset name, optionally with a -reduced(...) suffix.
 
     The suffix takes either a single capacity, with remaining parameters
-    scaled down, or the full (m, py1, py2, py3) tuple.
+    scaled down, or, for the geth families only, the full
+    (m, py1, py2, py3) tuple.
     """
     mobj = _REDUCED_RE.match(name.strip())
     if mobj:
@@ -632,20 +646,19 @@ def policy_preset(name: str) -> MempoolPolicy:
         if family not in PRESET_FAMILIES:
             raise ValueError(f"unknown policy preset: {family}")
         if len(args) == 1:
-            pol = _base_preset(family, args[0], None)
+            pol = _base_preset(family, args[0])
         elif len(args) == 4:
-            pol = _base_preset(family, args[0], tuple(args[1:]))
-            if family in ("geth-1.11",):
-                pol = replace(pol, future_quota=args[1], sender_limit=args[2],
-                              sender_limit_threshold=args[3])
-            elif family == "geth-legacy":
-                pol = replace(pol, future_quota=args[1], sender_limit=args[2],
-                              sender_limit_threshold=args[3])
+            if family not in ("geth-legacy", "geth-1.11"):
+                raise ValueError(f"{name}: only the geth families take "
+                                 f"reduced(m, py1, py2, py3)")
+            pol = replace(_base_preset(family, args[0]),
+                          future_quota=args[1], sender_limit=args[2],
+                          sender_limit_threshold=args[3])
         else:
             raise ValueError(f"bad reduced() arity in preset: {name}")
         return replace(pol, name=name.strip())
     if name.strip() in PRESET_FAMILIES:
-        return _base_preset(name.strip(), None, None)
+        return _base_preset(name.strip(), None)
     raise ValueError(f"unknown policy preset: {name}")
 
 

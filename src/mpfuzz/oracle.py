@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .mempool import MempoolState
 from .txmodel import Role, Transaction
@@ -32,7 +32,6 @@ def _to_fraction(x) -> Fraction:
 class OracleConfig:
     epsilon: Fraction = DEFAULT_EPSILON
     lam: Fraction = DEFAULT_LAMBDA
-    probe_count: Optional[int] = None  # None: one probe per pool slot
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", _to_fraction(self.epsilon))
@@ -41,8 +40,7 @@ class OracleConfig:
             raise ValueError("oracle thresholds must be positive")
 
     def to_json(self) -> dict:
-        return {"epsilon": str(self.epsilon), "lambda": str(self.lam),
-                "probe_count": self.probe_count}
+        return {"epsilon": str(self.epsilon), "lambda": str(self.lam)}
 
 
 def format_ratio(r: Fraction, places: int = 12) -> str:

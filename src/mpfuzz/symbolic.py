@@ -13,14 +13,12 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
-from .txmodel import (Address, Role, Transaction, WorldState, adversarial,
-                      benign)
+from .mempool import (NORMAL_PRICE, NORMAL_VALUE, MempoolPolicy,
+                      MempoolState, fill_normal, new_pool)
+from .txmodel import (Address, Role, Transaction, ValidityClass, WorldState,
+                      adversarial, benign, classify)
 
 STATE_SYMBOLS = ("N", "F", "P", "C", "O", "L", "R", "E")
-
-NORMAL_PRICE = 3
-NORMAL_VALUE = 1
 
 
 class InfeasibleSymbol(ValueError):
@@ -87,7 +85,6 @@ class SymbolizedState:
 def symbolize_tx(tx: Transaction, world: WorldState,
                  resident: List[Transaction]) -> str:
     """Symbol of an arriving transaction against the sender's residents."""
-    from .txmodel import ValidityClass, classify
     cls = classify(tx, world, resident)
     if tx.sender.role is Role.BENIGN:
         return "F" if cls is ValidityClass.FUTURE else "N"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 GAS_PER_TX = 21000
 
@@ -77,10 +77,6 @@ class Transaction:
                 f"v{self.value},f{self.gas_price})")
 
 
-def fee(tx: Transaction) -> int:
-    return tx.fee()
-
-
 class ValidityClass(enum.Enum):
     PENDING = "Pending"
     FUTURE = "Future"
@@ -118,9 +114,6 @@ class WorldState:
 
     def confirmed_nonce(self, addr: Address) -> int:
         return self.get(addr).confirmed_nonce
-
-    def set_balance(self, addr: Address, balance: int) -> None:
-        self.get(addr).balance = balance
 
     def copy(self) -> "WorldState":
         w = WorldState(self.default_balance)
@@ -163,13 +156,3 @@ def classify(tx: Transaction, world: WorldState,
     if tx.value + ancestors > acct.balance:
         return ValidityClass.LATENT_OVERDRAFT
     return ValidityClass.PENDING
-
-
-def chain_value(resident: List[Transaction], world: WorldState,
-                sender: Address) -> int:
-    """Sum of values in the sender's gap-free resident chain."""
-    acct = world.get(sender)
-    nonces = [t.nonce for t in resident]
-    chain_len = consecutive_chain(nonces, acct.confirmed_nonce)
-    hi = acct.confirmed_nonce + chain_len
-    return sum(t.value for t in resident if acct.confirmed_nonce < t.nonce <= hi)

@@ -62,6 +62,17 @@ def test_fuzz_accepts_config_file(tmp_path):
         <= 500
 
 
+def test_fuzz_rejects_a_bad_policy_override(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": PRESET3,
+                               "policy": {"capacity": -3}}))
+    res = CliRunner().invoke(main, ["fuzz", "--config", str(cfg),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code != 0
+    assert "capacity" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_success_and_incompatible(tmp_path):
     out = str(tmp_path / "eval.json")
     res = run_cli("eval", "--pattern", "XT1", "--preset",

@@ -2,8 +2,9 @@
 
 import pytest
 
-from mpfuzz.mempool import (DeclineReason, VULNERABILITY_MATRIX, admit,
-                            build_block, fill_normal, new_pool, policy_preset)
+from mpfuzz.mempool import (PRESET_FAMILIES, DeclineReason, MempoolPolicy,
+                            VULNERABILITY_MATRIX, admit, build_block,
+                            fill_normal, new_pool, policy_preset)
 from mpfuzz.txmodel import Role, Transaction, adversarial, benign
 
 
@@ -168,7 +169,28 @@ def test_unknown_preset_raises():
         policy_preset("no-such-client")
 
 
+def test_policy_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="capacity"):
+        policy_preset("geth-legacy-reduced(0)")
+    pol = policy_preset("geth-legacy-reduced(6)")
+    with pytest.raises(ValueError, match="capacity"):
+        MempoolPolicy.from_json(dict(pol.to_json(), capacity=-3))
+    for fld in ("future_quota", "sender_limit", "sender_limit_threshold"):
+        with pytest.raises(ValueError, match=fld):
+            MempoolPolicy.from_json(dict(pol.to_json(), **{fld: -1}))
+
+
+def test_four_argument_reduced_form_is_geth_only():
+    geth = ("geth-legacy", "geth-1.11")
+    for fam in geth:
+        pol = policy_preset(f"{fam}-reduced(6,1,2,3)")
+        assert (pol.capacity, pol.future_quota, pol.sender_limit,
+                pol.sender_limit_threshold) == (6, 1, 2, 3)
+    for fam in set(PRESET_FAMILIES) - set(geth):
+        with pytest.raises(ValueError, match="geth"):
+            policy_preset(f"{fam}-reduced(6,1,2,3)")
+
+
 def test_policy_json_roundtrip():
-    from mpfuzz.mempool import MempoolPolicy
     pol = policy_preset("besu-22.7-reduced(6)")
     assert MempoolPolicy.from_json(pol.to_json()) == pol

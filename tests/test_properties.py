@@ -85,15 +85,21 @@ def test_admission_trichotomy_and_capacity(preset, txs, prefill):
     from mpfuzz.mempool import fill_normal
     fill_normal(state, prefill)
     for tx in txs:
-        before = len(state)
+        slots = state.to_json()["slots"]
+        declined = list(state.declined)
         out = state.admit_mut(tx)
         # exactly one of: admitted (no reason) / declined (with reason)
         assert out.admitted == (out.reason is None)
         assert out.admitted == out.kind.startswith("Admitted")
         assert len(state) <= pol.capacity
         assert state.future_count <= pol.future_quota
-        if not out.admitted:
-            assert len(state) == before
+        # A decline changes nothing but the decline log, which records it
+        # once; benign probes and the XT6 rehearsal rely on this.
+        if out.admitted:
+            assert state.declined == declined
+        else:
+            assert state.to_json()["slots"] == slots
+            assert state.declined == declined + [(tx, out.reason)]
     # resident nonces are unique per sender
     seen = set()
     for e in state.entries.values():

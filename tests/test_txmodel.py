@@ -2,7 +2,7 @@
 
 from mpfuzz.txmodel import (GAS_PER_TX, Address, Role, Transaction,
                             ValidityClass, WorldState, adversarial, benign,
-                            chain_value, classify, consecutive_chain)
+                            classify, consecutive_chain)
 
 
 def test_address_roles_and_short():
@@ -58,11 +58,3 @@ def test_consecutive_chain_stops_at_gap():
     assert consecutive_chain([1, 2, 4], 0) == 2
     assert consecutive_chain([2, 3], 0) == 0
     assert consecutive_chain([3, 4], 2) == 2
-
-
-def test_chain_value_sums_gap_free_prefix():
-    w = WorldState(default_balance=9)
-    s = adversarial(1)
-    resident = [Transaction(s, 1, 2, 3), Transaction(s, 2, 3, 3),
-                Transaction(s, 4, 5, 3)]
-    assert chain_value(resident, w, s) == 5
