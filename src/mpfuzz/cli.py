@@ -32,6 +32,9 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _resolve_policy(preset: Optional[str], config: dict) -> MempoolPolicy:
+    """The policy of a user-given preset and the config's `policy`
+    overrides; every command resolves its preset here, so a bad one is a
+    usage error (exit 2)."""
     name = preset or config.get("preset")
     if not name:
         raise click.UsageError("no preset given (flag --preset or config)")
@@ -141,7 +144,7 @@ def fuzz(config_path, preset, epsilon, lam, seed, out_dir,
 def cmd_extend(exploit_file, target_preset, epsilon, lam, out_path):
     """Scale a short exploit up to a full-size policy."""
     short = Exploit.load(exploit_file)
-    target = policy_preset(target_preset)
+    target = _resolve_policy(target_preset, {})
     cfg = _resolve_oracle(epsilon, lam, {})
     try:
         extended = extend(short, target, cfg)
@@ -164,7 +167,7 @@ def cmd_extend(exploit_file, target_preset, epsilon, lam, out_path):
 def cmd_replay(exploit_file, preset, blocks, txs_per_block, out_path):
     """Replay an exploit file against a workload and report damage."""
     ex = Exploit.load(exploit_file)
-    policy = policy_preset(preset)
+    policy = _resolve_policy(preset, {})
     workload = WorkloadSpec(txs_per_block=txs_per_block,
                             block_tx_capacity=txs_per_block)
     report = replay(ex.concrete_txs, policy, workload, blocks)
@@ -181,7 +184,7 @@ def cmd_replay(exploit_file, preset, blocks, txs_per_block, out_path):
 @click.option("--out", "out_path", type=click.Path(), default="eval.json")
 def cmd_eval(pattern, preset, epsilon, lam, out_path):
     """Run a named attack pattern against a preset and score it."""
-    policy = policy_preset(preset)
+    policy = _resolve_policy(preset, {})
     cfg = _resolve_oracle(epsilon, lam, {})
     result = run_pattern(pattern, policy, cfg)
     _write_json(out_path, result.to_json())
@@ -201,7 +204,7 @@ def cmd_eval(pattern, preset, epsilon, lam, out_path):
 def cmd_compare(preset, baselines, repeats, budget_mutations, epsilon,
                 out_path):
     """Mutations-to-first-exploit grid: reference fuzzer vs baselines."""
-    policy = policy_preset(preset)
+    policy = _resolve_policy(preset, {})
     cfg = OracleConfig(epsilon=epsilon)
     kinds = [b.strip() for b in baselines.split(",") if b.strip()]
     for k in kinds:

@@ -8,6 +8,16 @@ damage modes: an eviction pass starting from a benign-filled pool and a
 locking pass starting from an empty one with benign probes appended to
 every candidate timeline.
 
+Selection is a lazy min-heap on (opcost, insertion order).  This picks
+the seed of highest energy, earliest added on a tie, as a scan of
+``Seed.energy()`` would: a seed's opcost never changes, the least opcost
+is the greatest energy (opcost 0 has energy inf and sorts first), and a
+seed only leaves the ranking once its candidates, tried strictly in
+order, run out.  A seed never regains an untried candidate, so exhausted
+seeds are dropped only when they reach the top.  Each seed carries the
+concrete transactions that built its state, so an exploit's transactions
+are its seed's plus the last one, without re-executing its input.
+
 A symbolized state counts as covered once feedback has judged it: it was
 reached by an admitted mutation and the promisingness gate either kept it
 as a seed or rejected it.  A covered state is never judged again, so a
@@ -17,6 +27,7 @@ and ``states_covered`` counts judged states, kept or not.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import time
@@ -43,12 +54,18 @@ class Seed:
     concrete: MempoolState
     ctx: InstantiationContext
     order: int
-    tried: Set[SymbolizedTx] = field(default_factory=set)
     candidates: Tuple[SymbolizedTx, ...] = ()
+    next_candidate: int = 0
+    txs: Tuple[Transaction, ...] = ()
     decline_probes: int = 0
 
+    def exhausted(self) -> bool:
+        return self.next_candidate >= len(self.candidates)
+
     def energy(self):
-        if all(c in self.tried for c in self.candidates):
+        """Scheduling energy b/opcost (b = 1), 0 once exhausted: the ranking
+        that ``Corpus.select`` reproduces with its heap."""
+        if self.exhausted():
             return Fraction(0)
         oc = opcost(self.sym_state)
         if oc == 0:
@@ -58,8 +75,10 @@ class Seed:
 
 class Corpus:
     def __init__(self):
-        self.seeds: List[Seed] = []
         self.covered: Set[str] = set()
+        # (opcost, order, seed) of every seed added with a candidate left;
+        # exhausted seeds are popped when they reach the top.
+        self._heap: List[Tuple[int, int, Seed]] = []
         self._next_order = 0
 
     def add(self, seed: Seed) -> None:
@@ -69,19 +88,17 @@ class Corpus:
         self.covered.add(key)
         seed.order = self._next_order
         self._next_order += 1
-        self.seeds.append(seed)
+        if not seed.exhausted():
+            heapq.heappush(self._heap,
+                           (opcost(seed.sym_state), seed.order, seed))
 
     def select(self) -> Optional[Seed]:
-        best = None
-        best_rank = None
-        for s in self.seeds:
-            e = s.energy()
-            if e == 0:
-                continue
-            rank = (e, -s.order)
-            if best_rank is None or rank > best_rank:
-                best, best_rank = s, rank
-        return best
+        """The seed of highest energy, earliest added on a tie; None when
+        every seed is exhausted."""
+        heap = self._heap
+        while heap and heap[0][2].exhausted():
+            heapq.heappop(heap)
+        return heap[0][2] if heap else None
 
 
 @dataclass
@@ -110,10 +127,14 @@ def st_promising(new_sym: SymbolizedState, old_sym: SymbolizedState,
 
 
 def _audit_reexec(policy: MempoolPolicy, seed_input, fill_count: int,
-                  cached: MempoolState) -> None:
-    state, _, _, _ = execute_input(policy, seed_input, fill_count)
+                  cached: MempoolState,
+                  cached_txs: Tuple[Transaction, ...]) -> None:
+    state, _, txs, _ = execute_input(policy, seed_input, fill_count)
     if state.canonical() != cached.canonical():
         raise AssertionError("cached concrete state diverged from "
+                             "re-execution")
+    if tuple(txs) != cached_txs:
+        raise AssertionError("carried transactions diverged from "
                              "re-execution")
 
 
@@ -180,12 +201,12 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
     st0 = fill_normal(root_state, fill_count)
     root_ctx = InstantiationContext(capacity=m, benign_next=fill_count + 1)
     corpus = Corpus()
-    root = Seed(input=(), sym_state=symbolize_state(root_state),
-                concrete=root_state, ctx=root_ctx, order=0)
-    root.candidates = tuple(enumerate_mutations(root_state, root_ctx))
     _, root_declined = _probe_declines(root_state, m)
-    root.decline_probes = len(root_declined)
-    corpus.add(root)
+    corpus.add(Seed(input=(), sym_state=symbolize_state(root_state),
+                    concrete=root_state, ctx=root_ctx, order=0,
+                    candidates=tuple(enumerate_mutations(root_state,
+                                                         root_ctx)),
+                    decline_probes=len(root_declined)))
 
     mutations = 0
     first_at: Optional[int] = None
@@ -196,13 +217,12 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
         seed = corpus.select()
         if seed is None:
             break
-        for cand in seed.candidates:
-            if cand in seed.tried:
-                continue
+        while not seed.exhausted():
             if mutations >= budget_mutations or \
                     time.monotonic() >= deadline:
                 break
-            seed.tried.add(cand)
+            cand = seed.candidates[seed.next_candidate]
+            seed.next_candidate += 1
             mutations += 1
             state = seed.concrete.clone()
             ctx = seed.ctx.copy()
@@ -217,9 +237,10 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                 continue
             outcome = state.admit_mut(tx)
             new_input = seed.input + (cand,)
+            new_txs = seed.txs + (tx,)
             new_sym = symbolize_state(state)
             if reexec_audit:
-                _audit_reexec(policy, new_input, fill_count, state)
+                _audit_reexec(policy, new_input, fill_count, state, new_txs)
 
             declined_probes: Optional[List[Transaction]] = None
             if mode == "eviction":
@@ -234,12 +255,10 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                        serialize_input(new_input))
                 if key not in emitted:
                     emitted.add(key)
-                    _, _, txs, _ = execute_input(policy, seed.input,
-                                                 fill_count)
                     exploits.append(Exploit(
                         kind=key[0], pattern=None, mut_config=policy,
                         symbol_sequence=new_input,
-                        concrete_txs=txs + [tx], verdict=verdict,
+                        concrete_txs=list(new_txs), verdict=verdict,
                         end_state=new_sym.key()))
                 _log(log_stream, {"mode": mode,
                                   "seed": seed.sym_state.key(),
@@ -261,12 +280,11 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                                       len(declined_probes),
                                       seed.decline_probes)
                 if ok:
-                    child = Seed(input=new_input, sym_state=new_sym,
-                                 concrete=state, ctx=ctx, order=0)
-                    child.candidates = tuple(
-                        enumerate_mutations(state, ctx))
-                    child.decline_probes = len(declined_probes)
-                    corpus.add(child)
+                    corpus.add(Seed(
+                        input=new_input, sym_state=new_sym, concrete=state,
+                        ctx=ctx, order=0,
+                        candidates=tuple(enumerate_mutations(state, ctx)),
+                        txs=new_txs, decline_probes=len(declined_probes)))
                     fed_back = True
                 else:
                     corpus.covered.add(new_sym.key())

@@ -563,7 +563,9 @@ def _geth_reduced_params(m: int) -> Tuple[int, int, int]:
     return (py1, py2, py3)
 
 
-def _base_preset(family: str, m: Optional[int]) -> MempoolPolicy:
+def _base_preset(family: str, m: Optional[int], name: str) -> MempoolPolicy:
+    """The family's policy at capacity `m` (None: full size), labelled
+    `name` so that a validation error names the preset as written."""
     if family in ("geth-legacy", "geth-1.11"):
         if m is None:
             m = _GETH_FULL["capacity"]
@@ -574,12 +576,12 @@ def _base_preset(family: str, m: Optional[int]) -> MempoolPolicy:
             py1, py2, py3 = _geth_reduced_params(m)
         if family == "geth-legacy":
             return MempoolPolicy(
-                name="geth-legacy", capacity=m, future_quota=m,
+                name=name, capacity=m, future_quota=m,
                 sender_limit=py2, sender_limit_threshold=py3,
                 eviction_rule=EvictionRule.PRICE_ANY,
                 turning_rule=TurningRule.DEMOTE_TO_FUTURE)
         return MempoolPolicy(
-            name="geth-1.11", capacity=m, future_quota=py1,
+            name=name, capacity=m, future_quota=py1,
             sender_limit=py2, sender_limit_threshold=py3,
             eviction_rule=EvictionRule.PRICE_ANY,
             turning_rule=TurningRule.DEMOTE_TO_FUTURE,
@@ -589,7 +591,7 @@ def _base_preset(family: str, m: Optional[int]) -> MempoolPolicy:
         mm = m if m is not None else 4096
         py2 = 16 if m is None else _geth_reduced_params(mm)[1]
         return MempoolPolicy(
-            name=family, capacity=mm, future_quota=mm,
+            name=name, capacity=mm, future_quota=mm,
             sender_limit=py2, sender_limit_threshold=0,
             eviction_rule=EvictionRule.PRICE_ANY,
             turning_rule=TurningRule.DROP_DESCENDANTS,
@@ -597,7 +599,7 @@ def _base_preset(family: str, m: Optional[int]) -> MempoolPolicy:
     if family in ("nethermind-legacy", "nethermind-1.18"):
         mm = m if m is not None else 2048
         return MempoolPolicy(
-            name=family, capacity=mm, future_quota=mm,
+            name=name, capacity=mm, future_quota=mm,
             sender_limit=mm, sender_limit_threshold=0,
             eviction_rule=EvictionRule.ACCOUNT_MIN_PRICE,
             turning_rule=TurningRule.DROP_DESCENDANTS,
@@ -607,7 +609,7 @@ def _base_preset(family: str, m: Optional[int]) -> MempoolPolicy:
     if family == "reth-fifo":
         mm = m if m is not None else 6144
         return MempoolPolicy(
-            name="reth-fifo", capacity=mm, future_quota=mm,
+            name=name, capacity=mm, future_quota=mm,
             sender_limit=mm, sender_limit_threshold=0,
             eviction_rule=EvictionRule.NONE,
             turning_rule=TurningRule.DROP_DESCENDANTS,
@@ -615,7 +617,7 @@ def _base_preset(family: str, m: Optional[int]) -> MempoolPolicy:
     if family == "openethereum":
         mm = m if m is not None else 4096
         return MempoolPolicy(
-            name="openethereum", capacity=mm, future_quota=0,
+            name=name, capacity=mm, future_quota=0,
             sender_limit=mm, sender_limit_threshold=0,
             eviction_rule=EvictionRule.PRICE_CHILDLESS_ONLY,
             turning_rule=TurningRule.DROP_DESCENDANTS,
@@ -638,7 +640,8 @@ def policy_preset(name: str) -> MempoolPolicy:
     scaled down, or, for the geth families only, the full
     (m, py1, py2, py3) tuple.
     """
-    mobj = _REDUCED_RE.match(name.strip())
+    name = name.strip()
+    mobj = _REDUCED_RE.match(name)
     if mobj:
         family = mobj.group("family")
         args = [int(a) for a in mobj.group("args").replace(" ", "").split(",")
@@ -646,19 +649,17 @@ def policy_preset(name: str) -> MempoolPolicy:
         if family not in PRESET_FAMILIES:
             raise ValueError(f"unknown policy preset: {family}")
         if len(args) == 1:
-            pol = _base_preset(family, args[0])
-        elif len(args) == 4:
+            return _base_preset(family, args[0], name)
+        if len(args) == 4:
             if family not in ("geth-legacy", "geth-1.11"):
                 raise ValueError(f"{name}: only the geth families take "
                                  f"reduced(m, py1, py2, py3)")
-            pol = replace(_base_preset(family, args[0]),
-                          future_quota=args[1], sender_limit=args[2],
-                          sender_limit_threshold=args[3])
-        else:
-            raise ValueError(f"bad reduced() arity in preset: {name}")
-        return replace(pol, name=name.strip())
-    if name.strip() in PRESET_FAMILIES:
-        return _base_preset(name.strip(), None)
+            return replace(_base_preset(family, args[0], name),
+                           future_quota=args[1], sender_limit=args[2],
+                           sender_limit_threshold=args[3])
+        raise ValueError(f"bad reduced() arity in preset: {name}")
+    if name in PRESET_FAMILIES:
+        return _base_preset(name, None, name)
     raise ValueError(f"unknown policy preset: {name}")
 
 

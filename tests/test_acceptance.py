@@ -178,6 +178,7 @@ def ablation():
     return med
 
 
+@pytest.mark.slow
 def test_criterion6_baseline_ordering(ablation):
     med = ablation
     assert not med["B1"][2], "random-bytes baseline should never succeed"

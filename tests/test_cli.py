@@ -3,9 +3,13 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from mpfuzz.cli import main
+from mpfuzz.fuzzer import run_fuzzer
+from mpfuzz.mempool import policy_preset
+from mpfuzz.oracle import OracleConfig
 
 PRESET3 = "geth-1.11-reduced(3,1,2,2)"
 
@@ -126,3 +130,24 @@ def test_compare_writes_csv(tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0].startswith("baseline,")
     assert len(lines) == 4  # header + mpfuzz + B3 + B4
+
+
+@pytest.mark.parametrize("command", ["extend", "replay", "eval", "compare"])
+def test_bad_preset_is_a_usage_error(tmp_path, command):
+    bad = "geth-legacy-reduced(0)"
+    exploit = str(tmp_path / "exploit.json")
+    run_fuzzer(policy_preset("geth-legacy-reduced(3)"),
+               OracleConfig(epsilon=0.2),
+               stop_on_first=True).exploits[0].save(exploit)
+    args = {
+        "extend": ["extend", exploit, "--target-preset", bad],
+        "replay": ["replay", exploit, "--preset", bad],
+        "eval": ["eval", "--pattern", "XT1", "--preset", bad],
+        "compare": ["compare", "--preset", bad],
+    }[command]
+    out = str(tmp_path / "out")
+    res = CliRunner().invoke(main, args + ["--out", out])
+    assert res.exit_code == 2, res.output
+    assert bad in res.output
+    assert "Traceback" not in res.output
+    assert not os.path.exists(out)

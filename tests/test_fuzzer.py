@@ -4,17 +4,18 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mpfuzz.fuzzer import Corpus, Seed, run_fuzzer
+from mpfuzz.fuzzer import Corpus, Seed, _audit_reexec, run_fuzzer
 from mpfuzz.mempool import policy_preset
 from mpfuzz.oracle import OracleConfig
-from mpfuzz.symbolic import execute_input, symbolize_state
+from mpfuzz.symbolic import (SymbolizedState, SymbolizedTx, execute_input,
+                             parse_input, symbolize_state)
 
 PRESET3 = "geth-1.11-reduced(3,1,2,2)"
 
 
 def make_seed(text=""):
-    from mpfuzz.symbolic import parse_input
     pol = policy_preset(PRESET3)
     seq = parse_input(text) if text else ()
     state, ctx, _, _ = execute_input(pol, seq, fill_count=3)
@@ -32,7 +33,8 @@ def test_corpus_rejects_duplicate_state_keys():
 def test_energy_is_inverse_opcost_and_zero_when_exhausted():
     from fractions import Fraction
     s = make_seed("P")
-    s.candidates = tuple(s.tried)  # nothing left untried
+    s.candidates = ("x",)
+    s.next_candidate = 1  # nothing left untried
     assert s.energy() == 0
     s2 = make_seed("P")
     s2.candidates = ("x",)
@@ -48,6 +50,86 @@ def test_selection_prefers_max_energy_then_insertion_order():
     c.add(a)
     c.add(b)
     assert c.select() is b
+
+
+def scan_select(seeds):
+    """Reference selection: a linear scan for the highest energy, lowest
+    order on a tie, skipping exhausted seeds (energy 0)."""
+    best, best_rank = None, None
+    for s in seeds:
+        e = s.energy()
+        if e == 0:
+            continue
+        rank = (e, -s.order)
+        if best_rank is None or rank > best_rank:
+            best, best_rank = s, rank
+    return best
+
+
+def generated_seed(chain, n_candidates, serial):
+    # Each P slot adds its price to opcost and each C slot adds 1; an
+    # empty chain has opcost 0.  `serial` E slots make every key distinct
+    # without changing opcost.
+    slots = tuple(("P", p) if p else ("C", 0) for p in chain) + \
+        (("E", 0),) * serial
+    sym = SymbolizedState(slots, capacity=len(slots))
+    return Seed(input=(), sym_state=sym, concrete=None, ctx=None, order=0,
+                candidates=tuple(SymbolizedTx("P", k)
+                                 for k in range(n_candidates)))
+
+
+CORPUS_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"),
+              st.lists(st.one_of(st.none(), st.integers(4, 7)),
+                       max_size=4),
+              st.integers(0, 4)),
+    st.tuples(st.just("advance"), st.integers(0, 63)),
+    st.tuples(st.just("advance_selected")),
+    st.tuples(st.just("select"))), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CORPUS_OPS)
+def test_heap_selection_equals_linear_scan(ops):
+    corpus = Corpus()
+    seeds = []
+    for op in ops:
+        if op[0] == "add":
+            seed = generated_seed(op[1], op[2], len(seeds))
+            corpus.add(seed)
+            seeds.append(seed)
+        elif op[0] == "advance" and seeds:
+            seed = seeds[op[1] % len(seeds)]
+            if not seed.exhausted():
+                seed.next_candidate += 1
+        elif op[0] == "advance_selected":
+            seed = corpus.select()
+            if seed is not None:
+                seed.next_candidate += 1
+        assert corpus.select() is scan_select(seeds)
+
+
+@pytest.mark.parametrize("preset, mode", [
+    ("geth-legacy-reduced(6)", "eviction"),
+    ("reth-fifo-reduced(3)", "locking"),
+])
+def test_exploit_txs_equal_reexecution(preset, mode):
+    pol = policy_preset(preset)
+    res = run_fuzzer(pol, OracleConfig(epsilon=0.2), modes=(mode,))
+    assert res.exploits
+    fill = pol.capacity if mode == "eviction" else 0
+    for ex in res.exploits:
+        _, _, txs, _ = execute_input(pol, ex.symbol_sequence, fill)
+        assert ex.concrete_txs == txs
+
+
+def test_reexec_audit_checks_carried_txs():
+    pol = policy_preset(PRESET3)
+    seq = parse_input("P C1 P0")
+    state, _, txs, _ = execute_input(pol, seq, fill_count=3)
+    _audit_reexec(pol, seq, 3, state, tuple(txs))
+    with pytest.raises(AssertionError, match="carried transactions"):
+        _audit_reexec(pol, seq, 3, state, tuple(txs[:-1]))
 
 
 def test_golden_early_trace():

@@ -1,5 +1,7 @@
 """Pool admission state machine and policy presets."""
 
+import re
+
 import pytest
 
 from mpfuzz.mempool import (PRESET_FAMILIES, DeclineReason, MempoolPolicy,
@@ -178,6 +180,18 @@ def test_policy_rejects_bad_sizes():
     for fld in ("future_quota", "sender_limit", "sender_limit_threshold"):
         with pytest.raises(ValueError, match=fld):
             MempoolPolicy.from_json(dict(pol.to_json(), **{fld: -1}))
+
+
+def test_preset_errors_name_the_preset_as_written():
+    for fam in PRESET_FAMILIES:
+        name = f"{fam}-reduced(0)"
+        with pytest.raises(ValueError, match=re.escape(name)):
+            policy_preset(name)
+    assert policy_preset(" geth-legacy-reduced(6) ").name == \
+        "geth-legacy-reduced(6)"
+    assert policy_preset("geth-1.11-reduced(3,1,2,2)").name == \
+        "geth-1.11-reduced(3,1,2,2)"
+    assert policy_preset("reth-fifo").name == "reth-fifo"
 
 
 def test_four_argument_reduced_form_is_geth_only():
