@@ -51,6 +51,8 @@ def _resolve_policy(preset: Optional[str], config: dict) -> MempoolPolicy:
 
 
 def _resolve_oracle(epsilon, lam, config: dict) -> OracleConfig:
+    """The oracle thresholds of the flags and the config; a non-positive
+    one is a usage error (exit 2)."""
     eps = epsilon if epsilon is not None else config.get("epsilon")
     lm = lam if lam is not None else config.get("lambda")
     kwargs = {}
@@ -58,7 +60,10 @@ def _resolve_oracle(epsilon, lam, config: dict) -> OracleConfig:
         kwargs["epsilon"] = eps
     if lm is not None:
         kwargs["lam"] = lm
-    return OracleConfig(**kwargs)
+    try:
+        return OracleConfig(**kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -108,6 +113,9 @@ def fuzz(config_path, preset, epsilon, lam, seed, out_dir,
     rng_seed = seed if seed is not None else config.get("seed", 0)
     muts = budget_mutations if budget_mutations is not None else \
         config.get("budget_mutations", 100_000)
+    if muts < 1:
+        raise click.UsageError(f"budget_mutations must be at least 1, "
+                               f"got {muts}")
     secs = budget_seconds if budget_seconds is not None else \
         config.get("budget_seconds", 300.0)
     os.makedirs(out_dir, exist_ok=True)
@@ -197,15 +205,16 @@ def cmd_eval(pattern, preset, epsilon, lam, out_path):
 @main.command("compare")
 @click.option("--preset", default="geth-legacy-reduced(6)")
 @click.option("--baselines", default="B1,B2,B3,B4")
-@click.option("--repeats", type=int, default=5)
-@click.option("--budget-mutations", type=int, default=2_000_000)
+@click.option("--repeats", type=click.IntRange(min=1), default=5)
+@click.option("--budget-mutations", type=click.IntRange(min=1),
+              default=2_000_000)
 @click.option("--epsilon", type=float, default=0.2)
 @click.option("--out", "out_path", type=click.Path(), default="compare.csv")
 def cmd_compare(preset, baselines, repeats, budget_mutations, epsilon,
                 out_path):
     """Mutations-to-first-exploit grid: reference fuzzer vs baselines."""
     policy = _resolve_policy(preset, {})
-    cfg = OracleConfig(epsilon=epsilon)
+    cfg = _resolve_oracle(epsilon, None, {})
     kinds = [b.strip() for b in baselines.split(",") if b.strip()]
     for k in kinds:
         if k not in BASELINE_KINDS:

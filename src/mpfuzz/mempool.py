@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
-                      WorldState, benign, classify)
+                      WorldState, benign)
 
 NORMAL_PRICE = 3
 NORMAL_VALUE = 1
@@ -104,7 +104,7 @@ class MempoolPolicy:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolEntry:
     tx: Transaction
     seq: int
@@ -124,11 +124,46 @@ class AdmissionOutcome:
         return self.kind != "Declined"
 
 
+# A sender's chain state: (confirmed nonce, run length, run value, pending
+# prefix length).  The run is the gap-free resident nonces from confirmed+1,
+# futures included; the pending prefix is its leading non-future part.
+ChainState = Tuple[int, int, int, int]
+
+
 class MempoolState:
     """Mutable pool representation.
 
     The module-level `admit` keeps the documented pure-transition contract;
     `admit_mut` is the in-place variant used on hot paths.
+
+    `entries` and `by_sender` hold the slots.  Beside them the pool keeps
+    indexes so that a full-pool admission never scans the pool: it costs
+    O(log m) amortized, plus the victim sender's own entries under
+    `AccountMinPrice`.  Only the index of the policy's own eviction rule
+    is built.  Each
+    victim index is a lazy min-heap: a record that no longer describes a
+    candidate stays until it reaches the top, where it is popped.
+
+    - `PriceAny`: `_heap_pending` and `_heap_future` hold a (price, seq,
+      sender, nonce) record of every pending and every future entry.
+    - `PriceChildlessOnly`: `_heap_childless` holds a (price, seq, sender,
+      nonce) record of every childless entry.  An entry is pushed on
+      insert when nonce+1 is absent, and a parent again when its child
+      leaves, so popping a parent's record while it has a child is safe.
+    - `AccountMinPrice`: `_acct_key` maps each resident sender to (min
+      price, first seq) over its entries, and `_heap_acct` holds a (min
+      price, first seq, sender) record of each sender's current pair.
+
+    Two records that tie on (price, seq) name the same entry or sender, so
+    ordering records never compares the unorderable `Address`.
+
+    `_chain` maps some resident senders to their `ChainState`, which
+    always equals a fresh walk of the sender's entries.  Appending at the
+    top of the run or removing from there updates it in O(1).  A removal
+    inside the run, an arrival that closes a gap, or a confirmed-nonce
+    move drops it, and the next admission walks the chain once.  Turning
+    demotes only entries above the pending prefix, which changes none of
+    its four figures.
     """
 
     def __init__(self, policy: MempoolPolicy, world: WorldState):
@@ -140,17 +175,18 @@ class MempoolState:
         self.seq = 0
         self.future_count = 0
         self._benign_auto = 0
-        # Lazy min-heaps over (price, seq, sender, nonce) for PriceAny
-        # victim lookup; stale records are skipped on pop.
         self._heap_pending: List[Tuple[int, int, Address, int]] = []
         self._heap_future: List[Tuple[int, int, Address, int]] = []
+        self._heap_childless: List[Tuple[int, int, Address, int]] = []
+        self._acct_key: Dict[Address, Tuple[int, int]] = {}
+        self._heap_acct: List[Tuple[int, int, Address]] = []
+        self._chain: Dict[Address, ChainState] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
     def clone(self) -> "MempoolState":
+        """An independent copy; its chain cache starts empty."""
         st = MempoolState(self.policy, self.world.copy())
-        st.entries = {}
-        st.by_sender = {}
         for k, e in self.entries.items():
             ne = PoolEntry(e.tx, e.seq, e.is_future, e.via_replacement)
             st.entries[k] = ne
@@ -159,11 +195,13 @@ class MempoolState:
         st.seq = self.seq
         st.future_count = self.future_count
         st._benign_auto = self._benign_auto
-        for e in st.entries.values():
-            heap = st._heap_future if e.is_future else st._heap_pending
-            heap.append((e.tx.gas_price, e.seq, e.tx.sender, e.tx.nonce))
-        heapq.heapify(st._heap_pending)
-        heapq.heapify(st._heap_future)
+        # A record names an entry by seq, and the copy keeps every seq, so
+        # each record means in the copy what it means here.
+        st._heap_pending = self._heap_pending.copy()
+        st._heap_future = self._heap_future.copy()
+        st._heap_childless = self._heap_childless.copy()
+        st._acct_key = self._acct_key.copy()
+        st._heap_acct = self._heap_acct.copy()
         return st
 
     def __len__(self) -> int:
@@ -192,46 +230,141 @@ class MempoolState:
             n += 1
         return out
 
+    def _chain_state(self, sender: Address) -> ChainState:
+        """The sender's `ChainState`: the cached one, or a walk of its
+        entries, cached while the sender has any."""
+        state = self._chain.get(sender)
+        if state is not None:
+            return state
+        group = self.by_sender.get(sender, {})
+        confirmed = self.world.confirmed_nonce(sender)
+        n = confirmed + 1
+        value = 0
+        prefix = -1
+        while n in group:
+            e = group[n]
+            if prefix < 0 and e.is_future:
+                prefix = n - confirmed - 1
+            value += e.tx.value
+            n += 1
+        run = n - confirmed - 1
+        state = (confirmed, run, value, run if prefix < 0 else prefix)
+        if group:
+            self._chain[sender] = state
+        return state
+
     def _insert(self, tx: Transaction, is_future: bool,
                 via_replacement: bool = False) -> PoolEntry:
+        sender, nonce, price = tx.sender, tx.nonce, tx.gas_price
         e = PoolEntry(tx, self.seq, is_future, via_replacement)
         self.seq += 1
-        self.entries[(tx.sender, tx.nonce)] = e
-        self.by_sender.setdefault(tx.sender, {})[tx.nonce] = e
+        self.entries[(sender, nonce)] = e
+        group = self.by_sender.setdefault(sender, {})
+        group[nonce] = e
         if is_future:
             self.future_count += 1
-            heapq.heappush(self._heap_future,
-                           (tx.gas_price, e.seq, tx.sender, tx.nonce))
-        else:
-            heapq.heappush(self._heap_pending,
-                           (tx.gas_price, e.seq, tx.sender, tx.nonce))
+        chain = self._chain.get(sender)
+        if chain is not None:
+            confirmed, run, value, prefix = chain
+            if nonce == confirmed + run + 1:
+                if nonce + 1 in group:
+                    # The arrival closes a gap: the run now reaches past it.
+                    del self._chain[sender]
+                else:
+                    self._chain[sender] = (
+                        confirmed, run + 1, value + tx.value,
+                        prefix + 1 if prefix == run and not is_future
+                        else prefix)
+        rule = self.policy.eviction_rule
+        if rule is EvictionRule.PRICE_ANY:
+            heapq.heappush(self._heap_future if is_future
+                           else self._heap_pending,
+                           (price, e.seq, sender, nonce))
+        elif rule is EvictionRule.PRICE_CHILDLESS_ONLY:
+            if nonce + 1 not in group:
+                heapq.heappush(self._heap_childless,
+                               (price, e.seq, sender, nonce))
+        elif rule is EvictionRule.ACCOUNT_MIN_PRICE:
+            key = self._acct_key.get(sender)
+            # A new entry's seq is the sender's largest, so only a first
+            # entry or a lower price moves the pair.
+            if key is None or price < key[0]:
+                key = (price, e.seq if key is None else key[1])
+                self._acct_key[sender] = key
+                heapq.heappush(self._heap_acct, (key[0], key[1], sender))
         return e
 
     def _remove(self, e: PoolEntry) -> None:
-        key = (e.tx.sender, e.tx.nonce)
-        del self.entries[key]
-        group = self.by_sender[e.tx.sender]
-        del group[e.tx.nonce]
+        tx = e.tx
+        sender, nonce = tx.sender, tx.nonce
+        del self.entries[(sender, nonce)]
+        group = self.by_sender[sender]
+        del group[nonce]
         if not group:
-            del self.by_sender[e.tx.sender]
+            del self.by_sender[sender]
         if e.is_future:
             self.future_count -= 1
+        chain = self._chain.get(sender)
+        if chain is not None:
+            confirmed, run, value, prefix = chain
+            if not group or confirmed < nonce < confirmed + run:
+                del self._chain[sender]
+            elif run and nonce == confirmed + run:
+                self._chain[sender] = (confirmed, run - 1, value - tx.value,
+                                       min(prefix, run - 1))
+        rule = self.policy.eviction_rule
+        if rule is EvictionRule.PRICE_CHILDLESS_ONLY:
+            parent = group.get(nonce - 1)
+            if parent is not None:
+                heapq.heappush(self._heap_childless,
+                               (parent.tx.gas_price, parent.seq, sender,
+                                nonce - 1))
+        elif rule is EvictionRule.ACCOUNT_MIN_PRICE:
+            key = self._acct_key[sender]
+            if not group:
+                del self._acct_key[sender]
+            elif tx.gas_price == key[0] or e.seq == key[1]:
+                new = (min(x.tx.gas_price for x in group.values()),
+                       min(x.seq for x in group.values()))
+                if new != key:
+                    self._acct_key[sender] = new
+                    heapq.heappush(self._heap_acct, (new[0], new[1], sender))
 
     # -- admission -------------------------------------------------------
 
+    def _classify(self, tx: Transaction
+                  ) -> Tuple[ValidityClass, Optional[ChainState]]:
+        """`txmodel.classify` of `tx` against its sender's residents, read
+        from the entries and the sender's `ChainState`, which it also
+        returns unless the arrival is a replacement."""
+        if (tx.sender, tx.nonce) in self.entries:
+            return ValidityClass.REPLACEMENT, None
+        chain = self._chain_state(tx.sender)
+        confirmed, run, value, _ = chain
+        if tx.nonce > confirmed + run + 1:
+            return ValidityClass.FUTURE, chain
+        balance = self.world.balance(tx.sender)
+        if tx.value > balance:
+            return ValidityClass.OVERDRAFT, chain
+        # A non-future arrival above confirmed lands at the top of the run,
+        # so every run member is its ancestor.
+        if tx.nonce > confirmed and tx.value + value > balance:
+            return ValidityClass.LATENT_OVERDRAFT, chain
+        return ValidityClass.PENDING, chain
+
     def admit_mut(self, tx: Transaction) -> AdmissionOutcome:
         pol = self.policy
-        world = self.world
-        resident = self.resident(tx.sender)
-        cls = classify(tx, world, resident)
-
-        # Overdrafting arrivals never enter, whatever their nonce position.
-        if cls is not ValidityClass.REPLACEMENT and \
-                tx.value > world.balance(tx.sender):
-            return self._decline(tx, DeclineReason.OVERDRAFT)
+        cls, chain = self._classify(tx)
 
         if cls is ValidityClass.REPLACEMENT:
             return self._admit_replacement(tx)
+
+        # Overdrafting arrivals never enter, whatever their nonce position;
+        # `_classify` has checked the balance unless the arrival is future.
+        if cls is ValidityClass.OVERDRAFT or (
+                cls is ValidityClass.FUTURE and
+                tx.value > self.world.balance(tx.sender)):
+            return self._decline(tx, DeclineReason.OVERDRAFT)
 
         if cls is ValidityClass.LATENT_OVERDRAFT and pol.latent_admission_guard:
             return self._decline(tx, DeclineReason.LATENT_GUARD)
@@ -240,7 +373,7 @@ class MempoolState:
             return self._admit_future(tx)
 
         # Pending or latent-overdraft arrival joining the sender's chain.
-        chain_count = len(self.sender_chain_entries(tx.sender))
+        chain_count = chain[3]
         if chain_count >= pol.sender_limit and \
                 self.pending_count > pol.sender_limit_threshold:
             return self._decline(tx, DeclineReason.SENDER_LIMIT)
@@ -350,37 +483,50 @@ class MempoolState:
                 return e
             return None
         if rule is EvictionRule.PRICE_CHILDLESS_ONLY:
-            best = None
-            for e in self.entries.values():
-                if e.tx.gas_price >= tx.gas_price:
-                    continue
-                if e.tx.sender == tx.sender and e.tx.nonce < tx.nonce:
-                    continue
-                group = self.by_sender[e.tx.sender]
-                if e.tx.nonce + 1 in group:
-                    continue
-                key = (e.tx.gas_price, e.seq)
-                if best is None or key < (best.tx.gas_price, best.seq):
-                    best = e
-            return best
+            # The cheapest childless entry, skipping the arrival's own
+            # ancestors; those are set aside and pushed back afterwards.
+            heap = self._heap_childless
+            aside = []
+            victim = None
+            while heap:
+                price, seq, sender, nonce = heap[0]
+                if price >= tx.gas_price:
+                    break
+                e = self.entries.get((sender, nonce))
+                if e is None or e.seq != seq or \
+                        nonce + 1 in self.by_sender[sender]:
+                    heapq.heappop(heap)
+                elif sender == tx.sender and nonce < tx.nonce:
+                    aside.append(heapq.heappop(heap))
+                else:
+                    victim = e
+                    break
+            for rec in aside:
+                heapq.heappush(heap, rec)
+            return victim
         if rule is EvictionRule.ACCOUNT_MIN_PRICE:
-            best_sender = None
-            best_key = None
-            for sender, group in self.by_sender.items():
-                if sender == tx.sender:
-                    continue
-                acct_min = min(e.tx.gas_price for e in group.values())
-                if tx.gas_price <= acct_min:
-                    continue
-                first_seq = min(e.seq for e in group.values())
-                key = (acct_min, first_seq)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_sender = sender
-            if best_sender is None:
+            # The sender with the least (min price, first seq) below the
+            # arrival's price, other than the arrival's; its top nonce goes.
+            heap = self._heap_acct
+            own = None
+            best = None
+            while heap:
+                price, seq, sender = heap[0]
+                if price >= tx.gas_price:
+                    break
+                if self._acct_key.get(sender) != (price, seq):
+                    heapq.heappop(heap)
+                elif sender == tx.sender:
+                    own = heapq.heappop(heap)
+                else:
+                    best = sender
+                    break
+            if own is not None:
+                heapq.heappush(heap, own)
+            if best is None:
                 return None
-            group = self.by_sender[best_sender]
-            return group[max(group.keys())]
+            group = self.by_sender[best]
+            return group[max(group)]
         return None
 
     def _apply_turning(self, sender: Address) -> List[Transaction]:
@@ -477,7 +623,8 @@ def new_pool(policy: MempoolPolicy,
 
 def admit(state: MempoolState,
           tx: Transaction) -> Tuple[MempoolState, AdmissionOutcome]:
-    """Pure admission transition: returns the successor state unchanged input."""
+    """Pure admission transition: returns the successor state and the
+    outcome, leaving `state` unchanged."""
     nxt = state.clone()
     outcome = nxt.admit_mut(tx)
     return nxt, outcome
@@ -535,6 +682,8 @@ def build_block(state: MempoolState, gas_limit: int) -> List[Transaction]:
         acct = state.world.get(tx.sender)
         acct.balance -= tx.value
         acct.confirmed_nonce = tx.nonce
+        # The run now starts at the new confirmed nonce.
+        state._chain.pop(tx.sender, None)
         state._promote_reconnected(tx.sender)
         included.append(tx)
         gas += GAS_PER_TX

@@ -37,7 +37,8 @@ class OracleConfig:
         object.__setattr__(self, "epsilon", _to_fraction(self.epsilon))
         object.__setattr__(self, "lam", _to_fraction(self.lam))
         if self.epsilon <= 0 or self.lam <= 0:
-            raise ValueError("oracle thresholds must be positive")
+            raise ValueError(f"oracle thresholds must be positive, got "
+                             f"epsilon={self.epsilon}, lambda={self.lam}")
 
     def to_json(self) -> dict:
         return {"epsilon": str(self.epsilon), "lambda": str(self.lam)}

@@ -132,13 +132,18 @@ def test_compare_writes_csv(tmp_path):
     assert len(lines) == 4  # header + mpfuzz + B3 + B4
 
 
+def saved_exploit(tmp_path):
+    path = str(tmp_path / "exploit.json")
+    run_fuzzer(policy_preset("geth-legacy-reduced(3)"),
+               OracleConfig(epsilon=0.2),
+               stop_on_first=True).exploits[0].save(path)
+    return path
+
+
 @pytest.mark.parametrize("command", ["extend", "replay", "eval", "compare"])
 def test_bad_preset_is_a_usage_error(tmp_path, command):
     bad = "geth-legacy-reduced(0)"
-    exploit = str(tmp_path / "exploit.json")
-    run_fuzzer(policy_preset("geth-legacy-reduced(3)"),
-               OracleConfig(epsilon=0.2),
-               stop_on_first=True).exploits[0].save(exploit)
+    exploit = saved_exploit(tmp_path)
     args = {
         "extend": ["extend", exploit, "--target-preset", bad],
         "replay": ["replay", exploit, "--preset", bad],
@@ -149,5 +154,54 @@ def test_bad_preset_is_a_usage_error(tmp_path, command):
     res = CliRunner().invoke(main, args + ["--out", out])
     assert res.exit_code == 2, res.output
     assert bad in res.output
+    assert "Traceback" not in res.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, threshold", [
+    ("fuzz", ["--epsilon", "0"]), ("fuzz", ["--lambda", "-0.5"]),
+    ("fuzz", "config"), ("extend", ["--epsilon", "-1"]),
+    ("extend", ["--lambda", "0"]), ("eval", ["--epsilon", "0"]),
+    ("eval", ["--lambda", "-2"]), ("compare", ["--epsilon", "0"]),
+])
+def test_non_positive_threshold_is_a_usage_error(tmp_path, command,
+                                                 threshold):
+    out = str(tmp_path / "out")
+    if threshold == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": PRESET3, "lambda": 0}))
+        args = ["fuzz", "--config", str(cfg)]
+    else:
+        args = {
+            "fuzz": ["fuzz", "--preset", PRESET3],
+            "extend": ["extend", saved_exploit(tmp_path), "--target-preset",
+                       "geth-legacy-reduced(6)"],
+            "eval": ["eval", "--pattern", "XT1", "--preset",
+                     "geth-legacy-reduced(6)"],
+            "compare": ["compare", "--baselines", "B4", "--repeats", "1"],
+        }[command] + threshold
+    res = CliRunner().invoke(main, args + ["--out", out])
+    assert res.exit_code == 2, res.output
+    assert "thresholds must be positive" in res.output
+    assert "Traceback" not in res.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("args, via_config", [
+    (["fuzz", "--preset", PRESET3, "--budget-mutations", "-5"], False),
+    (["fuzz", "--preset", PRESET3, "--budget-mutations", "0"], False),
+    (["fuzz"], True),
+    (["compare", "--repeats", "0"], False),
+    (["compare", "--budget-mutations", "-1"], False),
+])
+def test_empty_run_is_a_usage_error(tmp_path, args, via_config):
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": PRESET3,
+                                   "budget_mutations": 0}))
+        args = args + ["--config", str(cfg)]
+    out = str(tmp_path / "out")
+    res = CliRunner().invoke(main, args + ["--out", out])
+    assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert not os.path.exists(out)

@@ -3,11 +3,14 @@
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from mpfuzz.mempool import (PRESET_FAMILIES, DeclineReason, MempoolPolicy,
-                            VULNERABILITY_MATRIX, admit, build_block,
-                            fill_normal, new_pool, policy_preset)
-from mpfuzz.txmodel import Role, Transaction, adversarial, benign
+from mpfuzz.mempool import (PRESET_FAMILIES, DeclineReason, EvictionRule,
+                            MempoolPolicy, VULNERABILITY_MATRIX, admit,
+                            build_block, fill_normal, new_pool, policy_preset)
+from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, adversarial,
+                            benign, classify, consecutive_chain)
+from test_properties import BIG
 
 
 def full_legacy(m=6):
@@ -208,3 +211,124 @@ def test_four_argument_reduced_form_is_geth_only():
 def test_policy_json_roundtrip():
     pol = policy_preset("besu-22.7-reduced(6)")
     assert MempoolPolicy.from_json(pol.to_json()) == pol
+
+
+# -- indexed admission equals the plain scans and walks -------------------
+
+def scan_victim(state, tx):
+    """Reference victim choice: `MempoolState._select_victim` as the linear
+    scan over the pool that the victim indexes replace."""
+    rule = state.policy.eviction_rule
+    if rule is EvictionRule.PRICE_ANY:
+        # Future residents go first when both kinds are cheaper.
+        for want_future in (True, False):
+            cheaper = [e for e in state.entries.values()
+                       if e.is_future == want_future
+                       and e.tx.gas_price < tx.gas_price]
+            if cheaper:
+                return min(cheaper, key=lambda e: (e.tx.gas_price, e.seq))
+        return None
+    if rule is EvictionRule.PRICE_CHILDLESS_ONLY:
+        best = None
+        for e in state.entries.values():
+            if e.tx.gas_price >= tx.gas_price:
+                continue
+            if e.tx.sender == tx.sender and e.tx.nonce < tx.nonce:
+                continue
+            group = state.by_sender[e.tx.sender]
+            if e.tx.nonce + 1 in group:
+                continue
+            key = (e.tx.gas_price, e.seq)
+            if best is None or key < (best.tx.gas_price, best.seq):
+                best = e
+        return best
+    if rule is EvictionRule.ACCOUNT_MIN_PRICE:
+        best_sender = None
+        best_key = None
+        for sender, group in state.by_sender.items():
+            if sender == tx.sender:
+                continue
+            acct_min = min(e.tx.gas_price for e in group.values())
+            if tx.gas_price <= acct_min:
+                continue
+            first_seq = min(e.seq for e in group.values())
+            key = (acct_min, first_seq)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_sender = sender
+        if best_sender is None:
+            return None
+        group = state.by_sender[best_sender]
+        return group[max(group.keys())]
+    return None
+
+
+def walk_chain(state, sender):
+    """A sender's chain state from its resident list, walked afresh."""
+    confirmed = state.world.confirmed_nonce(sender)
+    resident = state.resident(sender)
+    run = consecutive_chain([t.nonce for t in resident], confirmed)
+    value = sum(t.value for t in resident
+                if confirmed < t.nonce <= confirmed + run)
+    return (confirmed, run, value, len(state.sender_chain_entries(sender)))
+
+
+SENDERS = (adversarial(1), adversarial(2), adversarial(3), benign(1),
+           benign(2))
+STRANGER = adversarial(99)
+
+
+def check_indexes(state, tx):
+    for sender, cached in state._chain.items():
+        assert cached == walk_chain(state, sender), sender
+    assert state._classify(tx)[0] is classify(tx, state.world,
+                                              state.resident(tx.sender))
+    assert state._chain_state(tx.sender) == walk_chain(state, tx.sender)
+    # The victim of this arrival, and of it and a stranger at every price.
+    probes = [tx] + [Transaction(s, n, 1, price)
+                     for s, n in ((tx.sender, tx.nonce), (STRANGER, 1))
+                     for price in range(1, 11)]
+    for probe in probes:
+        assert state._select_victim(probe) is scan_victim(state, probe)
+
+
+# An arrival is drawn relative to its sender's chain: a nonce offset of 1
+# extends the run, 2 or more leaves a gap, 0 or less replaces a resident
+# or repeats an executed nonce.  Blocks execute chain heads; a clone
+# continues in place of the pool it copies.
+ARRIVAL = st.tuples(st.just("tx"), st.integers(0, len(SENDERS) - 1),
+                    st.sampled_from((-1, 0, 1, 1, 1, 2)),
+                    st.sampled_from((1, 1, 2, 3)), st.integers(1, 9))
+POOL_OPS = st.lists(st.one_of(
+    *[ARRIVAL] * 6,
+    st.tuples(st.just("block"), st.integers(1, 2)),
+    st.tuples(st.just("clone"))), min_size=20, max_size=50)
+
+
+@BIG
+@given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
+       ops=POOL_OPS)
+# N2's second transaction evicts N1 and makes N2's first a parent, whose
+# record the next eviction pops; once the child is evicted too, the parent
+# is the cheapest childless entry again.
+@example(family="openethereum", m=3,
+         ops=[("tx", 4, 1, 2, 5), ("tx", 0, 1, 1, 7), ("tx", 1, 1, 3, 6),
+              ("tx", 2, 1, 1, 4)])
+def test_indexed_admission_equals_scans(family, m, ops):
+    state = new_pool(policy_preset(f"{family}-reduced({m})"))
+    fill_normal(state, m)
+    for op in ops:
+        if op[0] == "clone":
+            state = state.clone()
+        elif op[0] == "block":
+            build_block(state, op[1] * GAS_PER_TX)
+        else:
+            _, i, offset, value, price = op
+            sender = SENDERS[i]
+            confirmed, run, _, _ = walk_chain(state, sender)
+            tx = Transaction(sender, max(1, confirmed + run + offset),
+                             value, price)
+            check_indexes(state, tx)
+            state.admit_mut(tx)
+    for sender, cached in state._chain.items():
+        assert cached == walk_chain(state, sender), sender
