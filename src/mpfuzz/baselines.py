@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .fuzzer import run_fuzzer
 from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
-from .oracle import OracleConfig, check_eviction
+from .oracle import OracleConfig, check_eviction, evicted_all
 from .txmodel import Transaction, adversarial
 
 BASELINE_KINDS = ("B1", "B2", "B3", "B4")
@@ -101,7 +101,8 @@ def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
             mutations += 1
             state.admit_mut(Transaction(adversarial(sender + 1), nonce,
                                         value, price))
-            if check_eviction(st0, state, cfg).triggered:
+            if evicted_all(st0, state) and \
+                    check_eviction(st0, state, cfg).triggered:
                 return BaselineResult("B1", True, mutations, mutations)
     return BaselineResult("B1", False, None, mutations)
 
@@ -169,7 +170,8 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
             mutations += 1
             nxt = current.clone()
             nxt.admit_mut(tx)
-            if check_eviction(st0, nxt, cfg).triggered:
+            if evicted_all(st0, nxt) and \
+                    check_eviction(st0, nxt, cfg).triggered:
                 return BaselineResult(kind, True, mutations, mutations)
             h = _state_hash(nxt)
             if h not in covered:

@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .exploitkit import Exploit
+from .exploitkit import Exploit, exploit_key
 from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
 # Also bound under this name, which the benchmark's span tracer looks up.
 from .mempool import probe_declines as _probe_declines
-from .oracle import OracleConfig, check_eviction, check_locking
+from .oracle import (OracleConfig, check_eviction, check_locking,
+                     evicted_all)
 from .symbolic import (InstantiationContext, SymbolizedState, SymbolizedTx,
                        InfeasibleSymbol, cost, enumerate_mutations,
                        execute_input, instantiate, opcost, serialize_input,
@@ -244,19 +245,19 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
 
             declined_probes: Optional[List[Transaction]] = None
             if mode == "eviction":
-                verdict = check_eviction(st0, state, cfg)
+                verdict = (check_eviction(st0, state, cfg)
+                           if evicted_all(st0, state) else None)
             else:
                 probe_state, declined_probes = _probe_declines(state, m)
                 verdict = check_locking(probe_state, declined_probes, cfg)
-            if verdict.triggered:
+            if verdict is not None and verdict.triggered:
                 if first_at is None:
                     first_at = mutations
-                key = ("Eviction" if mode == "eviction" else "Locking",
-                       serialize_input(new_input))
+                key = exploit_key(verdict.kind, new_input)
                 if key not in emitted:
                     emitted.add(key)
                     exploits.append(Exploit(
-                        kind=key[0], pattern=None, mut_config=policy,
+                        kind=verdict.kind, pattern=None, mut_config=policy,
                         symbol_sequence=new_input,
                         concrete_txs=list(new_txs), verdict=verdict,
                         end_state=new_sym.key()))

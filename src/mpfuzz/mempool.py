@@ -44,6 +44,7 @@ class DeclineReason(enum.Enum):
     REVERSAL_GUARD = "ReversalGuard"
     OVERDRAFT = "Overdraft"
     LATENT_GUARD = "LatentGuard"
+    STALE_NONCE = "StaleNonce"
 
 
 @dataclass(frozen=True)
@@ -358,6 +359,10 @@ class MempoolState:
 
         if cls is ValidityClass.REPLACEMENT:
             return self._admit_replacement(tx)
+
+        # A nonce already executed can never be included again.
+        if tx.nonce <= chain[0]:
+            return self._decline(tx, DeclineReason.STALE_NONCE)
 
         # Overdrafting arrivals never enter, whatever their nonce position;
         # `_classify` has checked the balance unless the arrival is future.

@@ -5,6 +5,10 @@ fee discount below epsilon) and a locking oracle (arriving benign
 transactions declined while the occupying set underpays by lambda).
 Ratios are exact rationals; serialization renders them as decimal
 strings at full precision.
+
+Search loops ask `evicted_all` first and build `check_eviction`'s verdict
+only where damage holds: without damage no eviction verdict triggers, and
+damage is rare while the verdict's fee sums are not cheap.
 """
 
 from __future__ import annotations
@@ -101,6 +105,18 @@ def asym_E(st0: Sequence[Transaction], end_state: MempoolState) -> Fraction:
     if denom <= 0:
         raise ValueError("initial state carries no fees")
     return Fraction(chargeable_fees(end_state), denom)
+
+
+def evicted_all(st0: Sequence[Transaction], end_state: MempoolState) -> bool:
+    """`check_eviction`'s damage condition without its cost: no initial
+    resident survives.  A resident survives only as the very transaction
+    at its (sender, nonce) slot, so a replacement there does not count."""
+    entries = end_state.entries
+    for tx in st0:
+        e = entries.get((tx.sender, tx.nonce))
+        if e is not None and e.tx == tx:
+            return False
+    return len(st0) > 0
 
 
 def check_eviction(st0: Sequence[Transaction], end_state: MempoolState,

@@ -7,7 +7,7 @@ prices are small integers so that pool-wide fee arithmetic stays exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
 GAS_PER_TX = 21000
@@ -18,12 +18,29 @@ class Role(enum.Enum):
     ADVERSARIAL = "adversarial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Address:
-    """A sender identity, partitioned into benign and adversarial namespaces."""
+    """A sender identity, partitioned into benign and adversarial namespaces.
+
+    Addresses key every pool index, so the hash is computed once.  It is
+    ``hash((role, index))``, the value a frozen dataclass would return, so
+    caching it moves no dict or set order.
+    """
 
     role: Role
     index: int
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.role, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Address:
+            return NotImplemented
+        return self.index == other.index and self.role is other.role
 
     def short(self) -> str:
         tag = "N" if self.role is Role.BENIGN else "A"
@@ -94,8 +111,11 @@ class AccountState:
 class WorldState:
     """Account balances and confirmed nonces.
 
-    Unknown accounts materialize with a default balance on first access so
-    that synthetic senders need no explicit funding step.
+    The world is sparse: an account that was never written has the default
+    balance and confirmed nonce 0, so synthetic senders need no funding
+    step.  `balance` and `confirmed_nonce` read it without storing it;
+    only `get`, which hands out a mutable account, stores one, and `copy`
+    copies only the stored ones.
     """
 
     def __init__(self, default_balance: int):
@@ -110,10 +130,12 @@ class WorldState:
         return acct
 
     def balance(self, addr: Address) -> int:
-        return self.get(addr).balance
+        acct = self.accounts.get(addr)
+        return self.default_balance if acct is None else acct.balance
 
     def confirmed_nonce(self, addr: Address) -> int:
-        return self.get(addr).confirmed_nonce
+        acct = self.accounts.get(addr)
+        return 0 if acct is None else acct.confirmed_nonce
 
     def copy(self) -> "WorldState":
         w = WorldState(self.default_balance)
@@ -141,18 +163,19 @@ def classify(tx: Transaction, world: WorldState,
     Precedence on overlap: Replacement > Future > Overdraft > LatentOverdraft
     > Pending.  Balance checks cover transferred value only.
     """
-    acct = world.get(tx.sender)
+    confirmed = world.confirmed_nonce(tx.sender)
+    balance = world.balance(tx.sender)
     nonces = [t.nonce for t in resident]
     if tx.nonce in nonces:
         return ValidityClass.REPLACEMENT
-    chain_len = consecutive_chain(nonces, acct.confirmed_nonce)
-    if tx.nonce > acct.confirmed_nonce + chain_len + 1:
+    chain_len = consecutive_chain(nonces, confirmed)
+    if tx.nonce > confirmed + chain_len + 1:
         return ValidityClass.FUTURE
-    if tx.value > acct.balance:
+    if tx.value > balance:
         return ValidityClass.OVERDRAFT
     ancestors = sum(t.value for t in resident
-                    if acct.confirmed_nonce < t.nonce < tx.nonce
-                    and t.nonce <= acct.confirmed_nonce + chain_len)
-    if tx.value + ancestors > acct.balance:
+                    if confirmed < t.nonce < tx.nonce
+                    and t.nonce <= confirmed + chain_len)
+    if tx.value + ancestors > balance:
         return ValidityClass.LATENT_OVERDRAFT
     return ValidityClass.PENDING

@@ -132,6 +132,20 @@ def test_compare_writes_csv(tmp_path):
     assert len(lines) == 4  # header + mpfuzz + B3 + B4
 
 
+def test_compare_prints_speedup_ratios(tmp_path):
+    out = str(tmp_path / "compare.csv")
+    res = run_cli("compare", "--preset", "geth-legacy-reduced(6)",
+                  "--baselines", "B1,B4", "--repeats", "1",
+                  "--budget-mutations", "540", "--out", out)
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    # mpfuzz and B4 both find at mutation 27; B1 misses, so its median is
+    # the budget and the ratio only a lower bound.
+    assert "mpfuzz: median 27" in lines
+    assert "B4/mpfuzz: 1.0x" in lines
+    assert "B1/mpfuzz: ≥ 20.0x" in lines
+
+
 def saved_exploit(tmp_path):
     path = str(tmp_path / "exploit.json")
     run_fuzzer(policy_preset("geth-legacy-reduced(3)"),

@@ -5,9 +5,13 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mpfuzz.baselines import run_baseline
+from mpfuzz.fuzzer import run_fuzzer
 from mpfuzz.mempool import (PRESET_FAMILIES, DeclineReason, EvictionRule,
-                            MempoolPolicy, VULNERABILITY_MATRIX, admit,
-                            build_block, fill_normal, new_pool, policy_preset)
+                            MempoolPolicy, MempoolState, VULNERABILITY_MATRIX,
+                            admit, build_block, fill_normal, new_pool,
+                            policy_preset)
+from mpfuzz.oracle import OracleConfig
 from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, adversarial,
                             benign, classify, consecutive_chain)
 from test_properties import BIG
@@ -148,6 +152,50 @@ def test_build_block_takes_highest_price_first():
     included = build_block(state, 2 * 21000)
     assert included[0].gas_price == 9
     assert len(included) == 2
+
+
+def test_build_block_writes_only_included_senders():
+    state = full_legacy()
+    a1, a2, a3 = adversarial(1), adversarial(2), adversarial(3)
+    for tx in (Transaction(a1, 1, 1, 9), Transaction(a1, 2, 1, 8),
+               Transaction(a2, 1, 1, 7), Transaction(a3, 3, 1, 9)):
+        assert state.admit_mut(tx).admitted
+    assert state.world.accounts == {}
+    included = build_block(state, 3 * GAS_PER_TX)
+    assert set(state.world.accounts) == {a1, a2}
+    included += build_block(state, 100 * GAS_PER_TX)
+    # A3's future transaction is never included, so A3 stays unwritten.
+    assert a3 not in {tx.sender for tx in included}
+    assert set(state.world.accounts) == {tx.sender for tx in included}
+
+
+def test_fuzzing_clones_no_account(monkeypatch):
+    clone = MempoolState.clone
+    written = []
+
+    def spy(self):
+        st = clone(self)
+        written.append(len(st.world.accounts))
+        return st
+
+    monkeypatch.setattr(MempoolState, "clone", spy)
+    pol = policy_preset("geth-legacy-reduced(6)")
+    run_fuzzer(pol, OracleConfig(epsilon=0.2), budget_mutations=3000)
+    run_baseline("B2", pol, OracleConfig(epsilon=0.2), budget_mutations=300)
+    assert len(written) > 3000 and set(written) == {0}
+
+
+def test_executed_nonce_is_declined():
+    state = full_legacy()
+    a1 = adversarial(1)
+    state.admit_mut(Transaction(a1, 1, 1, 9))
+    assert build_block(state, GAS_PER_TX) == [Transaction(a1, 1, 1, 9)]
+    before = state.txs()
+    for tx in (Transaction(a1, 1, 1, 12), Transaction(a1, 0, 1, 12)):
+        out = state.admit_mut(tx)
+        assert not out.admitted and out.reason is DeclineReason.STALE_NONCE
+    assert state.txs() == before and state.pending_count == 5
+    assert state.admit_mut(Transaction(a1, 2, 1, 12)).admitted
 
 
 def test_clone_is_independent():
@@ -329,6 +377,9 @@ def test_indexed_admission_equals_scans(family, m, ops):
             tx = Transaction(sender, max(1, confirmed + run + offset),
                              value, price)
             check_indexes(state, tx)
-            state.admit_mut(tx)
+            stale = tx.nonce <= confirmed and \
+                (sender, tx.nonce) not in state.entries
+            out = state.admit_mut(tx)
+            assert (out.reason is DeclineReason.STALE_NONCE) == stale
     for sender, cached in state._chain.items():
         assert cached == walk_chain(state, sender), sender

@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
-from mpfuzz.mempool import fill_normal, new_pool, policy_preset
+from hypothesis import example, given, strategies as st
+
+from mpfuzz.mempool import build_block, fill_normal, new_pool, policy_preset
 from mpfuzz.oracle import (DEFAULT_EPSILON, DEFAULT_LAMBDA, OracleConfig,
                            OracleVerdict, asym_D, asym_E, chargeable_fees,
                            check_eviction, check_locking, classify_tp_fp,
-                           format_ratio, total_fees)
+                           evicted_all, format_ratio, total_fees)
 from mpfuzz.txmodel import GAS_PER_TX, Transaction, adversarial, benign
+from test_properties import BIG, SMALL_PRESETS
 
 
 def test_defaults_are_exact_fractions():
@@ -97,3 +100,43 @@ def test_classify_tp_fp():
     miss = OracleVerdict(False, "eviction", Fraction(1), False, True)
     assert classify_tp_fp(hit, hit) == "TruePositive"
     assert classify_tp_fp(hit, miss) == "FalsePositive"
+
+
+# An arrival is adversarial ("adv", sender, nonce, value, price) or lands
+# on the i-th initial resident's (sender, nonce) with its own value and
+# price ("resident", i, value, price): a replacement while the resident
+# stays, and a re-arrival, equal to it or not, once it has left.  Blocks
+# execute chain heads, after which a resident's nonce is an executed one.
+ORACLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("adv"), st.integers(1, 3), st.integers(1, 3),
+              st.integers(1, 3), st.integers(1, 9)),
+    st.tuples(st.just("resident"), st.integers(0, 2), st.integers(1, 3),
+              st.integers(1, 9)),
+    st.tuples(st.just("block"), st.integers(1, 2))), max_size=30)
+
+
+@BIG
+@given(preset=st.sampled_from(SMALL_PRESETS), ops=ORACLE_OPS)
+# N1 is replaced at a higher price and the other two residents are
+# evicted: N1's slot is occupied, but not by an initial resident, so the
+# damage holds although a presence test would say N1 survives.
+@example(preset="geth-legacy-reduced(3)",
+         ops=[("resident", 0, 1, 5), ("adv", 1, 1, 1, 4),
+              ("adv", 2, 1, 1, 4)])
+def test_evicted_all_equals_check_eviction(preset, ops):
+    state = new_pool(policy_preset(preset))
+    st0 = fill_normal(state, state.policy.capacity)
+    cfg = OracleConfig()
+    for op in ops:
+        if op[0] == "block":
+            build_block(state, op[1] * GAS_PER_TX)
+        elif op[0] == "adv":
+            _, i, nonce, value, price = op
+            state.admit_mut(Transaction(adversarial(i), nonce, value, price))
+        else:
+            _, i, value, price = op
+            resident = st0[i]
+            state.admit_mut(Transaction(resident.sender, resident.nonce,
+                                        value, price))
+        assert evicted_all(st0, state) == \
+            check_eviction(st0, state, cfg).damage_ok

@@ -13,6 +13,16 @@ def test_address_roles_and_short():
     assert b.short() != a.short()
 
 
+def test_address_hash_is_the_tuple_hash():
+    for role in Role:
+        for index in (0, 1, 7, 65536):
+            assert hash(Address(role, index)) == hash((role, index))
+    assert Address(Role.BENIGN, 3) == benign(3)
+    assert {benign(3): 1}[Address(Role.BENIGN, 3)] == 1
+    assert benign(3) != adversarial(3)
+    assert len({benign(3), adversarial(3), benign(3)}) == 2
+
+
 def test_transaction_fee_and_key():
     tx = Transaction(benign(1), 1, 2, 5)
     assert tx.fee() == 5 * GAS_PER_TX
@@ -28,6 +38,16 @@ def test_world_default_balance():
     w = WorldState(default_balance=6)
     acct = w.get(benign(1))
     assert acct.balance == 6 and acct.confirmed_nonce == 0
+
+
+def test_world_reads_store_no_account():
+    w = WorldState(default_balance=6)
+    s = adversarial(1)
+    assert w.balance(s) == 6 and w.confirmed_nonce(s) == 0
+    classify(Transaction(s, 1, 1, 3), w, [])
+    assert w.accounts == {} and w.copy().accounts == {}
+    w.get(s).balance = 2
+    assert w.balance(s) == 2 and w.copy().accounts[s].balance == 2
 
 
 def test_classify_pending_future_overdraft():
