@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from .fuzzer import run_fuzzer
 from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
 from .oracle import OracleConfig, check_eviction, evicted_all
-from .txmodel import Transaction, adversarial
+from .txmodel import Role, Transaction, adversarial
 
 BASELINE_KINDS = ("B1", "B2", "B3", "B4")
 
@@ -110,8 +110,15 @@ def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
 # -- B2/B3: concrete-state coverage ------------------------------------------
 
 def _state_hash(state: MempoolState) -> Tuple:
-    return tuple(sorted((e.tx.key(), e.is_future)
-                        for e in state.entries.values()))
+    """The resident set: one-to-one with the sorted (`Transaction.key()`,
+    `is_future`) pairs, without reading the `Role` enum's value."""
+    key = []
+    for e in state.entries.values():
+        tx = e.tx
+        key.append((tx.sender.index, tx.sender.role is Role.BENIGN,
+                    tx.nonce, tx.value, tx.gas_price, e.is_future))
+    key.sort()
+    return tuple(key)
 
 
 def _invalid_count(state: MempoolState) -> int:
@@ -126,6 +133,12 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
 
     Coverage is a canonical hash of the resident set.  B2 pops seeds in
     FIFO order; B3 pops the seed with the most invalid residents first.
+
+    Each child is admitted into its parent's pool under a mark and rolled
+    back; only a child new to coverage is copied.  A declined child is
+    its parent's resident set, which is covered and did not trigger when
+    it was pushed (the root holds every initial resident), so it is
+    neither judged nor hashed.
     """
     rng = random.Random(rng_seed)
     m = policy.capacity
@@ -168,13 +181,16 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
                              rng.randrange(1, m + 1),
                              rng.randrange(1, m + 1))
             mutations += 1
-            nxt = current.clone()
-            nxt.admit_mut(tx)
-            if evicted_all(st0, nxt) and \
-                    check_eviction(st0, nxt, cfg).triggered:
+            mark = current.mark()
+            if not current.admit_mut(tx).admitted:
+                current.rollback(mark)
+                continue
+            if evicted_all(st0, current) and \
+                    check_eviction(st0, current, cfg).triggered:
                 return BaselineResult(kind, True, mutations, mutations)
-            h = _state_hash(nxt)
+            h = _state_hash(current)
             if h not in covered:
                 covered.add(h)
-                push(nxt)
+                push(current.clone())
+            current.rollback(mark)
     return BaselineResult(kind, False, None, mutations)

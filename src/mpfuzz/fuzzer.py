@@ -23,6 +23,23 @@ reached by an admitted mutation and the promisingness gate either kept it
 as a seed or rejected it.  A covered state is never judged again, so a
 rejected state is not re-probed or admitted later from another parent,
 and ``states_covered`` counts judged states, kept or not.
+
+Each mutation is admitted into its seed's own pool under a mark
+(``MempoolState.mark``), judged there and rolled back; only a state
+kept as a seed is copied.  Two kinds of decline are not judged again,
+and both shortcuts leave every output as full judging would:
+
+- A mutation the pool declines leaves the pool's entries and world as
+  they were, so its symbolized state is its seed's.  That state is
+  covered, and it was judged untriggered when it was kept: a triggering
+  state is never kept, and a root cannot trigger (the eviction root
+  still holds every initial resident; the locking root is empty, so its
+  probed pool holds only benign senders or nothing).  The oracles and
+  probes read only entries and world, so they would judge it the same
+  again.  The mutation is logged with its seed's state and no feedback;
+  it is not symbolized, judged or probed.
+- In a benign probe, once a fresh arrival is declined the later fresh
+  ones are declined alike without admission (``fill_normal``).
 """
 
 from __future__ import annotations
@@ -33,6 +50,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .exploitkit import Exploit, exploit_key
@@ -153,7 +171,8 @@ def run_fuzzer(policy: MempoolPolicy,
 
     Deterministic for fixed (policy, cfg, budgets).  The search makes no
     random choice, so `rng_seed` is never read: runs that differ only in
-    it are identical.
+    it are identical.  A mode that stops on `budget_seconds` is the one
+    exception, and its `mode_stats` entry says so.
     """
     cfg = cfg or OracleConfig()
     start = time.monotonic()
@@ -166,15 +185,15 @@ def run_fuzzer(policy: MempoolPolicy,
         remaining = budget_mutations - total_mutations
         if remaining <= 0:
             break
-        used, covered, mode_first = _run_mode(
+        stats, mode_first = _run_mode(
             mode, policy, cfg, remaining,
             budget_seconds - (time.monotonic() - start),
             promising, exploits, emitted, log_stream, reexec_audit,
             stop_on_first)
         if mode_first is not None and first_at is None:
             first_at = total_mutations + mode_first
-        total_mutations += used
-        mode_stats[mode] = {"mutations": used, "states_covered": covered}
+        total_mutations += stats["mutations"]
+        mode_stats[mode] = stats
         if stop_on_first and first_at is not None:
             break
     return FuzzResult(exploits=exploits, mutations=total_mutations,
@@ -184,40 +203,60 @@ def run_fuzzer(policy: MempoolPolicy,
                       first_exploit_mutations=first_at)
 
 
-def _log(stream, record: dict) -> None:
-    if stream is not None:
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
               budget_mutations: int, budget_seconds: float,
               promising: bool, exploits: List[Exploit],
               emitted: Set[Tuple[str, str]], log_stream,
               reexec_audit: bool,
               stop_on_first: bool = False
-              ) -> Tuple[int, int, Optional[int]]:
+              ) -> Tuple[dict, Optional[int]]:
+    """One mode's search.  Returns its `mode_stats` entry and the
+    mutations to its first exploit.  The entry holds the mutations, the
+    states covered, the count of each logged outcome, and what stopped
+    the search: `mutations`, `seconds`, `corpus_exhausted`, or
+    `first_exploit` under `stop_on_first`."""
     m = policy.capacity
     fill_count = m if mode == "eviction" else 0
     root_state = new_pool(policy)
     st0 = fill_normal(root_state, fill_count)
     root_ctx = InstantiationContext(capacity=m, benign_next=fill_count + 1)
     corpus = Corpus()
-    _, root_declined = _probe_declines(root_state, m)
+    root_declined, _ = _probe_declines(root_state, m)
     corpus.add(Seed(input=(), sym_state=symbolize_state(root_state),
                     concrete=root_state, ctx=root_ctx, order=0,
                     candidates=tuple(enumerate_mutations(root_state,
                                                          root_ctx)),
                     decline_probes=len(root_declined)))
+    judge_locking = partial(check_locking, cfg=cfg)
+    outcomes: Dict[str, int] = {}
+
+    def record(seed: Seed, cand: SymbolizedTx, outcome: str, **fields):
+        """Count a mutation's outcome and log it."""
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if log_stream is not None:
+            log_stream.write(json.dumps(
+                {"mode": mode, "seed": seed.sym_state.key(),
+                 "candidate": cand.serialize(), "outcome": outcome,
+                 **fields}, sort_keys=True) + "\n")
 
     mutations = 0
     first_at: Optional[int] = None
     deadline = time.monotonic() + budget_seconds
-    while mutations < budget_mutations and time.monotonic() < deadline:
+    while True:
+        if mutations >= budget_mutations:
+            stopped_by = "mutations"
+            break
+        if time.monotonic() >= deadline:
+            stopped_by = "seconds"
+            break
         if stop_on_first and first_at is not None:
+            stopped_by = "first_exploit"
             break
         seed = corpus.select()
         if seed is None:
+            stopped_by = "corpus_exhausted"
             break
+        pool = seed.concrete
         while not seed.exhausted():
             if mutations >= budget_mutations or \
                     time.monotonic() >= deadline:
@@ -225,73 +264,74 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
             cand = seed.candidates[seed.next_candidate]
             seed.next_candidate += 1
             mutations += 1
-            state = seed.concrete.clone()
             ctx = seed.ctx.copy()
             try:
-                tx = instantiate(cand, state, ctx)
+                tx = instantiate(cand, pool, ctx)
             except InfeasibleSymbol:
-                _log(log_stream, {"mode": mode,
-                                  "seed": seed.sym_state.key(),
-                                  "candidate": cand.serialize(),
-                                  "outcome": "Infeasible",
-                                  "feedback": False})
+                record(seed, cand, "Infeasible", feedback=False)
                 continue
-            outcome = state.admit_mut(tx)
-            new_input = seed.input + (cand,)
-            new_txs = seed.txs + (tx,)
-            new_sym = symbolize_state(state)
-            if reexec_audit:
-                _audit_reexec(policy, new_input, fill_count, state, new_txs)
-
-            declined_probes: Optional[List[Transaction]] = None
-            if mode == "eviction":
-                verdict = (check_eviction(st0, state, cfg)
-                           if evicted_all(st0, state) else None)
-            else:
-                probe_state, declined_probes = _probe_declines(state, m)
-                verdict = check_locking(probe_state, declined_probes, cfg)
-            if verdict is not None and verdict.triggered:
-                if first_at is None:
-                    first_at = mutations
-                key = exploit_key(verdict.kind, new_input)
-                if key not in emitted:
-                    emitted.add(key)
-                    exploits.append(Exploit(
-                        kind=verdict.kind, pattern=None, mut_config=policy,
-                        symbol_sequence=new_input,
-                        concrete_txs=list(new_txs), verdict=verdict,
-                        end_state=new_sym.key()))
-                _log(log_stream, {"mode": mode,
-                                  "seed": seed.sym_state.key(),
-                                  "candidate": cand.serialize(),
-                                  "outcome": "Exploit",
-                                  "state": new_sym.key(),
-                                  "input": serialize_input(new_input)})
-                if stop_on_first:
-                    break
-                continue
-
-            fed_back = False
-            if outcome.admitted and new_sym.key() not in corpus.covered:
-                if declined_probes is None:
-                    _, declined_probes = _probe_declines(state, m)
-                ok = True
-                if promising:
-                    ok = st_promising(new_sym, seed.sym_state,
-                                      len(declined_probes),
-                                      seed.decline_probes)
-                if ok:
-                    corpus.add(Seed(
-                        input=new_input, sym_state=new_sym, concrete=state,
-                        ctx=ctx, order=0,
-                        candidates=tuple(enumerate_mutations(state, ctx)),
-                        txs=new_txs, decline_probes=len(declined_probes)))
-                    fed_back = True
+            mark = pool.mark()
+            try:
+                outcome = pool.admit_mut(tx)
+                new_input = seed.input + (cand,)
+                new_txs = seed.txs + (tx,)
+                if reexec_audit:
+                    _audit_reexec(policy, new_input, fill_count, pool,
+                                  new_txs)
+                if not outcome.admitted:
+                    # The pool is the seed's, judged already (see the
+                    # module docstring).
+                    record(seed, cand, "Declined",
+                           state=seed.sym_state.key(), feedback=False)
+                    continue
+                new_sym = symbolize_state(pool)
+                declined_probes: Optional[List[Transaction]] = None
+                if mode == "eviction":
+                    verdict = (check_eviction(st0, pool, cfg)
+                               if evicted_all(st0, pool) else None)
                 else:
-                    corpus.covered.add(new_sym.key())
-            _log(log_stream, {"mode": mode, "seed": seed.sym_state.key(),
-                              "candidate": cand.serialize(),
-                              "outcome": outcome.kind,
-                              "state": new_sym.key(),
-                              "feedback": fed_back})
-    return mutations, len(corpus.covered), first_at
+                    declined_probes, verdict = _probe_declines(
+                        pool, m, judge_locking)
+                if verdict is not None and verdict.triggered:
+                    if first_at is None:
+                        first_at = mutations
+                    key = exploit_key(verdict.kind, new_input)
+                    if key not in emitted:
+                        emitted.add(key)
+                        exploits.append(Exploit(
+                            kind=verdict.kind, pattern=None,
+                            mut_config=policy, symbol_sequence=new_input,
+                            concrete_txs=list(new_txs), verdict=verdict,
+                            end_state=new_sym.key()))
+                    record(seed, cand, "Exploit", state=new_sym.key(),
+                           input=serialize_input(new_input))
+                    if stop_on_first:
+                        break
+                    continue
+
+                fed_back = False
+                if new_sym.key() not in corpus.covered:
+                    if declined_probes is None:
+                        declined_probes, _ = _probe_declines(pool, m)
+                    ok = True
+                    if promising:
+                        ok = st_promising(new_sym, seed.sym_state,
+                                          len(declined_probes),
+                                          seed.decline_probes)
+                    if ok:
+                        kept = pool.clone()
+                        corpus.add(Seed(
+                            input=new_input, sym_state=new_sym,
+                            concrete=kept, ctx=ctx, order=0,
+                            candidates=tuple(enumerate_mutations(kept, ctx)),
+                            txs=new_txs,
+                            decline_probes=len(declined_probes)))
+                        fed_back = True
+                    else:
+                        corpus.covered.add(new_sym.key())
+                record(seed, cand, outcome.kind, state=new_sym.key(),
+                       feedback=fed_back)
+            finally:
+                pool.rollback(mark)
+    return {"mutations": mutations, "states_covered": len(corpus.covered),
+            "outcomes": outcomes, "stopped_by": stopped_by}, first_at

@@ -14,7 +14,7 @@ import heapq
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
                       WorldState, benign)
@@ -130,6 +130,20 @@ class AdmissionOutcome:
 # futures included; the pending prefix is its leading non-future part.
 ChainState = Tuple[int, int, int, int]
 
+# Undo records of the journal: (kind, entry) for the first three kinds,
+# (kind, table, sender, old value or None) for a write to a table.
+_UNDO_INSERT, _UNDO_REMOVE, _UNDO_FLIP, _UNDO_WRITE = range(4)
+
+
+class Mark(NamedTuple):
+    """A point that `MempoolState.rollback` returns the pool to."""
+    undo_len: int
+    seq: int
+    future_count: int
+    benign_auto: int
+    declined_len: int
+    heaps: Tuple[list, list, list, list]
+
 
 class MempoolState:
     """Mutable pool representation.
@@ -165,6 +179,16 @@ class MempoolState:
     move drops it, and the next admission walks the chain once.  Turning
     demotes only entries above the pending prefix, which changes none of
     its four figures.
+
+    `mark()` opens a mark and `rollback(mark)` returns the pool to it;
+    marks nest, and the innermost open one is rolled back first.  While a
+    mark is open the pool journals, in an undo log, every entry inserted
+    or removed, every `is_future` flip from turning, and the old value of
+    every `_chain` and `_acct_key` write, chain-cache fills included.  The
+    mark itself holds `seq`, `future_count`, `_benign_auto`, the length of
+    `declined` and a copy of each victim heap.  That covers all an
+    admission writes; `build_block`, which also writes the world, refuses
+    to run under a mark.
     """
 
     def __init__(self, policy: MempoolPolicy, world: WorldState):
@@ -182,6 +206,8 @@ class MempoolState:
         self._acct_key: Dict[Address, Tuple[int, int]] = {}
         self._heap_acct: List[Tuple[int, int, Address]] = []
         self._chain: Dict[Address, ChainState] = {}
+        self._marks: List[Mark] = []
+        self._undo: Optional[list] = None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -204,6 +230,68 @@ class MempoolState:
         st._acct_key = self._acct_key.copy()
         st._heap_acct = self._heap_acct.copy()
         return st
+
+    def mark(self) -> Mark:
+        """Open a mark: the pool can be rolled back to this point."""
+        if self._undo is None:
+            self._undo = []
+        mark = Mark(len(self._undo), self.seq, self.future_count,
+                    self._benign_auto, len(self.declined),
+                    (self._heap_pending.copy(), self._heap_future.copy(),
+                     self._heap_childless.copy(), self._heap_acct.copy()))
+        self._marks.append(mark)
+        return mark
+
+    def rollback(self, mark: Mark) -> None:
+        """Undo everything since `mark`, the innermost open mark, and
+        close it."""
+        if not self._marks or self._marks[-1] is not mark:
+            raise ValueError("rollback to a mark that is not the innermost "
+                             "open one")
+        self._marks.pop()
+        undo = self._undo
+        entries, by_sender = self.entries, self.by_sender
+        while len(undo) > mark.undo_len:
+            rec = undo.pop()
+            kind = rec[0]
+            if kind == _UNDO_WRITE:
+                _, table, sender, old = rec
+                if old is None:
+                    del table[sender]
+                else:
+                    table[sender] = old
+                continue
+            e = rec[1]
+            sender, nonce = e.tx.sender, e.tx.nonce
+            if kind == _UNDO_FLIP:
+                e.is_future = not e.is_future
+            elif kind == _UNDO_INSERT:
+                del entries[(sender, nonce)]
+                group = by_sender[sender]
+                del group[nonce]
+                if not group:
+                    del by_sender[sender]
+            else:
+                entries[(sender, nonce)] = e
+                by_sender.setdefault(sender, {})[nonce] = e
+        self.seq = mark.seq
+        self.future_count = mark.future_count
+        self._benign_auto = mark.benign_auto
+        del self.declined[mark.declined_len:]
+        (self._heap_pending, self._heap_future, self._heap_childless,
+         self._heap_acct) = mark.heaps
+        if not self._marks:
+            self._undo = None
+
+    def _write(self, table: dict, sender: Address, value) -> None:
+        """Set `table[sender]`, or delete it for None, journaled; `table`
+        is `_chain` or `_acct_key`."""
+        if self._undo is not None:
+            self._undo.append((_UNDO_WRITE, table, sender, table.get(sender)))
+        if value is None:
+            del table[sender]
+        else:
+            table[sender] = value
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -251,7 +339,7 @@ class MempoolState:
         run = n - confirmed - 1
         state = (confirmed, run, value, run if prefix < 0 else prefix)
         if group:
-            self._chain[sender] = state
+            self._write(self._chain, sender, state)
         return state
 
     def _insert(self, tx: Transaction, is_future: bool,
@@ -264,18 +352,20 @@ class MempoolState:
         group[nonce] = e
         if is_future:
             self.future_count += 1
+        if self._undo is not None:
+            self._undo.append((_UNDO_INSERT, e))
         chain = self._chain.get(sender)
         if chain is not None:
             confirmed, run, value, prefix = chain
             if nonce == confirmed + run + 1:
                 if nonce + 1 in group:
                     # The arrival closes a gap: the run now reaches past it.
-                    del self._chain[sender]
+                    self._write(self._chain, sender, None)
                 else:
-                    self._chain[sender] = (
+                    self._write(self._chain, sender, (
                         confirmed, run + 1, value + tx.value,
                         prefix + 1 if prefix == run and not is_future
-                        else prefix)
+                        else prefix))
         rule = self.policy.eviction_rule
         if rule is EvictionRule.PRICE_ANY:
             heapq.heappush(self._heap_future if is_future
@@ -291,7 +381,7 @@ class MempoolState:
             # entry or a lower price moves the pair.
             if key is None or price < key[0]:
                 key = (price, e.seq if key is None else key[1])
-                self._acct_key[sender] = key
+                self._write(self._acct_key, sender, key)
                 heapq.heappush(self._heap_acct, (key[0], key[1], sender))
         return e
 
@@ -305,14 +395,17 @@ class MempoolState:
             del self.by_sender[sender]
         if e.is_future:
             self.future_count -= 1
+        if self._undo is not None:
+            self._undo.append((_UNDO_REMOVE, e))
         chain = self._chain.get(sender)
         if chain is not None:
             confirmed, run, value, prefix = chain
             if not group or confirmed < nonce < confirmed + run:
-                del self._chain[sender]
+                self._write(self._chain, sender, None)
             elif run and nonce == confirmed + run:
-                self._chain[sender] = (confirmed, run - 1, value - tx.value,
-                                       min(prefix, run - 1))
+                self._write(self._chain, sender,
+                            (confirmed, run - 1, value - tx.value,
+                             min(prefix, run - 1)))
         rule = self.policy.eviction_rule
         if rule is EvictionRule.PRICE_CHILDLESS_ONLY:
             parent = group.get(nonce - 1)
@@ -323,12 +416,12 @@ class MempoolState:
         elif rule is EvictionRule.ACCOUNT_MIN_PRICE:
             key = self._acct_key[sender]
             if not group:
-                del self._acct_key[sender]
+                self._write(self._acct_key, sender, None)
             elif tx.gas_price == key[0] or e.seq == key[1]:
                 new = (min(x.tx.gas_price for x in group.values()),
                        min(x.seq for x in group.values()))
                 if new != key:
-                    self._acct_key[sender] = new
+                    self._write(self._acct_key, sender, new)
                     heapq.heappush(self._heap_acct, (new[0], new[1], sender))
 
     # -- admission -------------------------------------------------------
@@ -559,6 +652,8 @@ class MempoolState:
             if self.future_count < self.policy.future_quota:
                 e.is_future = True
                 self.future_count += 1
+                if self._undo is not None:
+                    self._undo.append((_UNDO_FLIP, e))
                 heapq.heappush(self._heap_future,
                                (e.tx.gas_price, e.seq, e.tx.sender,
                                 e.tx.nonce))
@@ -636,36 +731,62 @@ def admit(state: MempoolState,
 
 
 def fill_normal(state: MempoolState, count: int) -> List[Transaction]:
-    """Admit `count` benign single transactions from fresh senders."""
+    """Offer `count` benign single transactions from fresh senders.
+
+    Once a fresh arrival is declined, each later one is declined with the
+    same reason without being admitted.  That is exact: a decline leaves
+    the entries and the world as they were, and admission reads nothing
+    of a sender with no resident entry and no written account but its
+    price, value and nonce, which all benign arrivals share.  An arrival
+    whose sender has either is admitted as usual.
+    """
     out = []
+    reason: Optional[DeclineReason] = None
     for _ in range(count):
         state._benign_auto += 1
         tx = Transaction(benign(state._benign_auto), nonce=1,
                          value=NORMAL_VALUE, gas_price=NORMAL_PRICE)
-        state.admit_mut(tx)
+        fresh = tx.sender not in state.by_sender and \
+            tx.sender not in state.world.accounts
+        if fresh and reason is not None:
+            state.declined.append((tx, reason))
+        else:
+            outcome = state.admit_mut(tx)
+            reason = outcome.reason if fresh else None
         out.append(tx)
     return out
 
 
-def probe_declines(state: MempoolState,
-                   count: int) -> Tuple[MempoolState, List[Transaction]]:
-    """Offer `count` benign arrivals to a copy of the pool.
+def probe_declines(state: MempoolState, count: int,
+                   read: Optional[Callable[[MempoolState, List[Transaction]],
+                                           object]] = None
+                   ) -> Tuple[List[Transaction], object]:
+    """Offer `count` benign arrivals to the pool under a mark.
 
-    Returns the copy with the arrivals applied and the arrivals it
-    declined; `state` itself is untouched.
+    Returns the arrivals it declined and, when `read` is given,
+    `read(pool, declined)` taken on the probed pool; the pool is then
+    rolled back, so `state` ends as it began.
     """
-    probe = state.clone()
-    before = len(probe.declined)
-    fill_normal(probe, count)
-    return probe, [tx for tx, _ in probe.declined[before:]]
+    mark = state.mark()
+    try:
+        before = len(state.declined)
+        fill_normal(state, count)
+        declined = [tx for tx, _ in state.declined[before:]]
+        return declined, (read(state, declined) if read is not None
+                          else None)
+    finally:
+        state.rollback(mark)
 
 
 def build_block(state: MempoolState, gas_limit: int) -> List[Transaction]:
     """Greedily select executable transactions by descending price.
 
     Included transactions are executed (balance and confirmed nonce move)
-    and leave the pool; everything else stays.
+    and leave the pool; everything else stays.  The world is not
+    journaled, so this raises under an open mark.
     """
+    if state._marks:
+        raise RuntimeError("build_block under an open mark")
     included: List[Transaction] = []
     gas = 0
     while gas + GAS_PER_TX <= gas_limit:

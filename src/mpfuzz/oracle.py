@@ -8,7 +8,7 @@ strings at full precision.
 
 Search loops ask `evicted_all` first and build `check_eviction`'s verdict
 only where damage holds: without damage no eviction verdict triggers, and
-damage is rare while the verdict's fee sums are not cheap.
+the verdict's fee sums are not cheap.
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ def check_eviction(st0: Sequence[Transaction], end_state: MempoolState,
                    cfg: OracleConfig) -> OracleVerdict:
     """Full damage: none of the initial residents survive; cost bound:
     the surviving set's chargeable fees stay under epsilon of theirs."""
-    initial = {tx.key() for tx in st0}
-    surviving = {tx.key() for tx in end_state.txs()}
-    damage_ok = len(st0) > 0 and not (initial & surviving)
+    damage_ok = evicted_all(st0, end_state)
     asym = asym_E(st0, end_state)
     cost_ok = asym < cfg.epsilon
     return OracleVerdict(damage_ok and cost_ok, "Eviction", asym,

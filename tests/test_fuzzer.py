@@ -2,13 +2,16 @@
 
 import io
 import json
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpfuzz.fuzzer import Corpus, Seed, _audit_reexec, run_fuzzer
-from mpfuzz.mempool import policy_preset
-from mpfuzz.oracle import OracleConfig
+from mpfuzz.mempool import (PRESET_FAMILIES, fill_normal, new_pool,
+                            policy_preset, probe_declines)
+from mpfuzz.oracle import OracleConfig, check_eviction, check_locking
 from mpfuzz.symbolic import (SymbolizedState, SymbolizedTx, execute_input,
                              parse_input, symbolize_state)
 
@@ -237,3 +240,65 @@ def test_gate_judges_each_state_once(monkeypatch):
             first_reached.setdefault(l["state"], i)
     assert all(first_reached[l["state"]] == i
                for i, l in enumerate(lines) if l.get("feedback"))
+
+
+@pytest.mark.parametrize("size", (3, 6))
+def test_declined_mutations_leave_the_seed_state(size):
+    # The fuzzer neither symbolizes nor judges a declined mutation.
+    # Re-executed in full, each one's state is its seed's and its mode's
+    # verdict does not trigger.
+    cfg = OracleConfig()
+    declines = 0
+    for family in PRESET_FAMILIES:
+        pol = policy_preset(f"{family}-reduced({size})")
+        m = pol.capacity
+        buf = io.StringIO()
+        run_fuzzer(pol, cfg, log_stream=buf)
+        inputs = {}  # (mode, state key) -> input of the seed
+        for line in buf.getvalue().splitlines():
+            rec = json.loads(line)
+            mode, seed = rec["mode"], rec["seed"]
+            inputs.setdefault((mode, seed), ())  # the first seed is a root
+            new_input = inputs[(mode, seed)] + \
+                (SymbolizedTx.parse(rec["candidate"]),)
+            if rec.get("feedback"):
+                inputs[(mode, rec["state"])] = new_input
+            if rec["outcome"] != "Declined":
+                continue
+            declines += 1
+            fill = m if mode == "eviction" else 0
+            state, _, _, outcomes = execute_input(pol, new_input, fill)
+            assert outcomes[-1].kind == "Declined"
+            assert rec["state"] == seed == symbolize_state(state).key()
+            if mode == "eviction":
+                st0 = fill_normal(new_pool(pol), m)
+                verdict = check_eviction(st0, state, cfg)
+            else:
+                _, verdict = probe_declines(state, m,
+                                            partial(check_locking, cfg=cfg))
+            assert not verdict.triggered
+    assert declines > 100
+
+
+def test_mode_stats_count_outcomes_and_say_why_a_mode_stopped():
+    pol = policy_preset(PRESET3)
+    cfg = OracleConfig(epsilon=0.0001)
+    buf = io.StringIO()
+    res = run_fuzzer(pol, cfg, log_stream=buf)
+    logged = Counter((rec["mode"], rec["outcome"]) for rec in
+                     map(json.loads, buf.getvalue().splitlines()))
+    for mode, stats in res.mode_stats.items():
+        assert stats["stopped_by"] == "corpus_exhausted"
+        assert stats["outcomes"] == {outcome: n for (md, outcome), n
+                                     in logged.items() if md == mode}
+        assert sum(stats["outcomes"].values()) == stats["mutations"]
+    assert set(res.mode_stats["eviction"]["outcomes"]) >= \
+        {"Declined", "Exploit", "AdmittedEvicting"}
+    short = run_fuzzer(pol, cfg, budget_mutations=20)
+    assert list(short.mode_stats) == ["eviction"]
+    assert short.mode_stats["eviction"]["stopped_by"] == "mutations"
+    timed = run_fuzzer(pol, cfg, budget_seconds=0)
+    assert [s["stopped_by"] for s in timed.mode_stats.values()] == \
+        ["seconds", "seconds"]
+    first = run_fuzzer(pol, cfg, stop_on_first=True)
+    assert first.mode_stats["eviction"]["stopped_by"] == "first_exploit"

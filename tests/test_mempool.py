@@ -1,15 +1,19 @@
 """Pool admission state machine and policy presets."""
 
+import io
+import json
 import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import mpfuzz.baselines as baselines
 from mpfuzz.baselines import run_baseline
 from mpfuzz.fuzzer import run_fuzzer
-from mpfuzz.mempool import (PRESET_FAMILIES, DeclineReason, EvictionRule,
-                            MempoolPolicy, MempoolState, VULNERABILITY_MATRIX,
-                            admit, build_block, fill_normal, new_pool,
+from mpfuzz.mempool import (NORMAL_PRICE, NORMAL_VALUE, PRESET_FAMILIES,
+                            DeclineReason, EvictionRule, MempoolPolicy,
+                            MempoolState, VULNERABILITY_MATRIX, admit,
+                            build_block, fill_normal, new_pool,
                             policy_preset)
 from mpfuzz.oracle import OracleConfig
 from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, adversarial,
@@ -170,6 +174,9 @@ def test_build_block_writes_only_included_senders():
 
 
 def test_fuzzing_clones_no_account(monkeypatch):
+    # Searches copy only what they keep: the fuzzer each seed beyond the
+    # roots, B2 each child new to coverage (every distinct resident set
+    # but the root's).  No copy holds an account.
     clone = MempoolState.clone
     written = []
 
@@ -178,11 +185,26 @@ def test_fuzzing_clones_no_account(monkeypatch):
         written.append(len(st.world.accounts))
         return st
 
+    hashes = set()
+    state_hash = baselines._state_hash
+
+    def hash_spy(state):
+        h = state_hash(state)
+        hashes.add(h)
+        return h
+
     monkeypatch.setattr(MempoolState, "clone", spy)
+    monkeypatch.setattr(baselines, "_state_hash", hash_spy)
     pol = policy_preset("geth-legacy-reduced(6)")
-    run_fuzzer(pol, OracleConfig(epsilon=0.2), budget_mutations=3000)
+    log = io.StringIO()
+    run_fuzzer(pol, OracleConfig(epsilon=0.2), budget_mutations=3000,
+               log_stream=log)
+    kept = sum(1 for line in log.getvalue().splitlines()
+               if json.loads(line).get("feedback"))
+    assert kept > 100 and len(written) == kept
     run_baseline("B2", pol, OracleConfig(epsilon=0.2), budget_mutations=300)
-    assert len(written) > 3000 and set(written) == {0}
+    assert len(hashes) > 100 and len(written) == kept + len(hashes) - 1
+    assert set(written) == {0}
 
 
 def test_executed_nonce_is_declined():
@@ -326,31 +348,65 @@ SENDERS = (adversarial(1), adversarial(2), adversarial(3), benign(1),
 STRANGER = adversarial(99)
 
 
+def victim_queries(tx):
+    """The victim of this arrival, and of it and a stranger at every
+    price."""
+    return [tx] + [Transaction(s, n, 1, price)
+                   for s, n in ((tx.sender, tx.nonce), (STRANGER, 1))
+                   for price in range(1, 11)]
+
+
 def check_indexes(state, tx):
     for sender, cached in state._chain.items():
         assert cached == walk_chain(state, sender), sender
     assert state._classify(tx)[0] is classify(tx, state.world,
                                               state.resident(tx.sender))
     assert state._chain_state(tx.sender) == walk_chain(state, tx.sender)
-    # The victim of this arrival, and of it and a stranger at every price.
-    probes = [tx] + [Transaction(s, n, 1, price)
-                     for s, n in ((tx.sender, tx.nonce), (STRANGER, 1))
-                     for price in range(1, 11)]
-    for probe in probes:
+    for probe in victim_queries(tx):
         assert state._select_victim(probe) is scan_victim(state, probe)
+
+
+HEAPS = ("_heap_pending", "_heap_future", "_heap_childless", "_heap_acct")
+
+
+def check_rolled_back(state, ref, chain, tx):
+    """`state`, just rolled back to a mark, against `ref`, a clone taken
+    at the mark, and `chain`, the chain cache then."""
+    assert state.canonical() == ref.canonical()
+    assert {k: (e.seq, e.is_future, e.via_replacement)
+            for k, e in state.entries.items()} == \
+        {k: (e.seq, e.is_future, e.via_replacement)
+         for k, e in ref.entries.items()}
+    assert {(s, n): e for s, group in state.by_sender.items()
+            for n, e in group.items()} == state.entries
+    assert all(state.by_sender.values())
+    assert (state.seq, state.future_count, state._benign_auto) == \
+        (ref.seq, ref.future_count, ref._benign_auto)
+    assert state._chain == chain
+    assert state._acct_key == ref._acct_key
+    for heap in HEAPS:
+        assert getattr(state, heap) == getattr(ref, heap), heap
+    for probe in victim_queries(tx):
+        got, want = state._select_victim(probe), ref._select_victim(probe)
+        assert (got and (got.tx, got.seq)) == (want and (want.tx, want.seq))
 
 
 # An arrival is drawn relative to its sender's chain: a nonce offset of 1
 # extends the run, 2 or more leaves a gap, 0 or less replaces a resident
 # or repeats an executed nonce.  Blocks execute chain heads; a clone
-# continues in place of the pool it copies.
+# continues in place of the pool it copies.  Marks nest; a rollback
+# returns to the innermost open one, and the rest are rolled back at the
+# end.  Blocks and clones only run while no mark is open.
 ARRIVAL = st.tuples(st.just("tx"), st.integers(0, len(SENDERS) - 1),
                     st.sampled_from((-1, 0, 1, 1, 1, 2)),
                     st.sampled_from((1, 1, 2, 3)), st.integers(1, 9))
 POOL_OPS = st.lists(st.one_of(
     *[ARRIVAL] * 6,
     st.tuples(st.just("block"), st.integers(1, 2)),
-    st.tuples(st.just("clone"))), min_size=20, max_size=50)
+    st.tuples(st.just("clone")),
+    st.tuples(st.just("fill"), st.integers(1, 3)),
+    st.tuples(st.just("mark")), st.tuples(st.just("mark")),
+    st.tuples(st.just("rollback"))), min_size=20, max_size=50)
 
 
 @BIG
@@ -365,21 +421,118 @@ POOL_OPS = st.lists(st.one_of(
 def test_indexed_admission_equals_scans(family, m, ops):
     state = new_pool(policy_preset(f"{family}-reduced({m})"))
     fill_normal(state, m)
+    marks = []  # (mark, clone at the mark, chain cache at the mark)
+    tx = Transaction(STRANGER, 1, 1, 5)
     for op in ops:
-        if op[0] == "clone":
+        if op[0] == "mark":
+            marks.append((state.mark(), state.clone(), dict(state._chain)))
+        elif op[0] == "rollback":
+            if marks:
+                mark, ref, chain = marks.pop()
+                state.rollback(mark)
+                check_rolled_back(state, ref, chain, tx)
+        elif op[0] == "fill":
+            fill_normal(state, op[1])
+        elif marks:
+            if op[0] == "block":
+                with pytest.raises(RuntimeError, match="mark"):
+                    build_block(state, op[1] * GAS_PER_TX)
+        elif op[0] == "clone":
             state = state.clone()
         elif op[0] == "block":
             build_block(state, op[1] * GAS_PER_TX)
-        else:
-            _, i, offset, value, price = op
-            sender = SENDERS[i]
-            confirmed, run, _, _ = walk_chain(state, sender)
-            tx = Transaction(sender, max(1, confirmed + run + offset),
-                             value, price)
-            check_indexes(state, tx)
-            stale = tx.nonce <= confirmed and \
-                (sender, tx.nonce) not in state.entries
-            out = state.admit_mut(tx)
-            assert (out.reason is DeclineReason.STALE_NONCE) == stale
+        if op[0] != "tx":
+            continue
+        _, i, offset, value, price = op
+        sender = SENDERS[i]
+        confirmed, run, _, _ = walk_chain(state, sender)
+        tx = Transaction(sender, max(1, confirmed + run + offset),
+                         value, price)
+        check_indexes(state, tx)
+        stale = tx.nonce <= confirmed and \
+            (sender, tx.nonce) not in state.entries
+        out = state.admit_mut(tx)
+        assert (out.reason is DeclineReason.STALE_NONCE) == stale
+    while marks:
+        mark, ref, chain = marks.pop()
+        state.rollback(mark)
+        check_rolled_back(state, ref, chain, tx)
+    assert state._undo is None
     for sender, cached in state._chain.items():
         assert cached == walk_chain(state, sender), sender
+
+
+def test_build_block_raises_under_a_mark():
+    state = full_legacy()
+    state.admit_mut(Transaction(adversarial(1), 1, 1, 9))
+    before = state.canonical()
+    outer = state.mark()
+    inner = state.mark()
+    with pytest.raises(ValueError, match="innermost"):
+        state.rollback(outer)
+    with pytest.raises(RuntimeError, match="mark"):
+        build_block(state, GAS_PER_TX)
+    state.rollback(inner)
+    with pytest.raises(RuntimeError, match="mark"):
+        build_block(state, GAS_PER_TX)
+    state.rollback(outer)
+    assert state.canonical() == before
+    assert build_block(state, GAS_PER_TX) == [Transaction(adversarial(1),
+                                                          1, 1, 9)]
+
+
+# -- fill_normal's decline shortcut equals the admission loop -------------
+
+def plain_fill_normal(state, count):
+    """Reference: `fill_normal` as the plain loop that admits every
+    arrival."""
+    out = []
+    for _ in range(count):
+        state._benign_auto += 1
+        tx = Transaction(benign(state._benign_auto), nonce=1,
+                         value=NORMAL_VALUE, gas_price=NORMAL_PRICE)
+        state.admit_mut(tx)
+        out.append(tx)
+    return out
+
+
+# Arrivals come from SENDERS and from the next two senders a fill offers
+# to ("next", j, ...), so a fill can meet a resident or an executed
+# sender; blocks execute chain heads and write their senders' accounts.
+FILL_OPS = st.lists(st.one_of(
+    ARRIVAL, ARRIVAL,
+    st.tuples(st.just("next"), st.integers(1, 2),
+              st.sampled_from((1, 1, 2)), st.sampled_from((1, 1, 2, 3)),
+              st.integers(1, 9)),
+    st.tuples(st.just("block"), st.integers(1, 2))), max_size=20)
+
+
+@BIG
+@given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
+       ops=FILL_OPS, count=st.integers(1, 12))
+# Full at price 3: B(m+1) is declined FullNoVictim, but B(m+2) is
+# resident and is declined PriceTooLow as a replacement.
+@example(family="geth-legacy", m=3, ops=[("next", 2, 1, 1, 9)], count=2)
+# B(m+2) was executed, so its arrival is a stale nonce.
+@example(family="geth-legacy", m=3,
+         ops=[("next", 2, 1, 1, 9), ("block", 1), ("tx", 0, 1, 1, 3)],
+         count=2)
+def test_fill_normal_equals_admission_loop(family, m, ops, count):
+    state = new_pool(policy_preset(f"{family}-reduced({m})"))
+    fill_normal(state, m)
+    for op in ops:
+        if op[0] == "block":
+            build_block(state, op[1] * GAS_PER_TX)
+            continue
+        _, i, offset, value, price = op
+        sender = SENDERS[i] if op[0] == "tx" else benign(m + i)
+        confirmed, run, _, _ = walk_chain(state, sender)
+        state.admit_mut(Transaction(sender, max(1, confirmed + run + offset),
+                                    value, price))
+    fast, plain = state.clone(), state.clone()
+    assert fill_normal(fast, count) == plain_fill_normal(plain, count)
+    assert fast.canonical() == plain.canonical()
+    assert (fast.seq, fast.future_count, fast._benign_auto) == \
+        (plain.seq, plain.future_count, plain._benign_auto)
+    for sender, cached in fast._chain.items():
+        assert cached == walk_chain(fast, sender), sender
