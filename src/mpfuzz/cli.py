@@ -2,7 +2,7 @@
 
 Configuration precedence is flags > config file > preset defaults.  The
 config file is JSON.  All payload outputs are deterministic for a fixed
-config and seed; wall-clock figures are kept out of persisted files.
+config; wall-clock figures are kept out of persisted files.
 """
 
 from __future__ import annotations
@@ -77,40 +77,27 @@ def main():
     """Mempool admission-policy fuzzer and exploit toolkit."""
 
 
-_common = [
-    click.option("--config", "config_path", type=click.Path(exists=True),
-                 default=None, help="JSON config file."),
-    click.option("--preset", default=None, help="Policy preset name."),
-    click.option("--epsilon", type=float, default=None,
-                 help="Eviction oracle threshold."),
-    click.option("--lambda", "lam", type=float, default=None,
-                 help="Locking oracle threshold."),
-    click.option("--seed", type=int, default=None, help="RNG seed."),
-    click.option("--out", "out_dir", type=click.Path(), default="out",
-                 help="Output directory."),
-]
-
-
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
-
-
 @main.command()
-@common_options
+@click.option("--config", "config_path", type=click.Path(exists=True),
+              default=None, help="JSON config file.")
+@click.option("--preset", default=None, help="Policy preset name.")
+@click.option("--epsilon", type=float, default=None,
+              help="Eviction oracle threshold.")
+@click.option("--lambda", "lam", type=float, default=None,
+              help="Locking oracle threshold.")
+@click.option("--out", "out_dir", type=click.Path(), default="out",
+              help="Output directory.")
 @click.option("--budget-mutations", type=int, default=None)
 @click.option("--budget-seconds", type=float, default=None)
 @click.option("--no-cache", is_flag=True, default=False,
               help="Re-execute every input instead of trusting cached "
                    "concrete states.")
-def fuzz(config_path, preset, epsilon, lam, seed, out_dir,
+def fuzz(config_path, preset, epsilon, lam, out_dir,
          budget_mutations, budget_seconds, no_cache):
     """Run the symbolized fuzzer and write exploits + progress log."""
     config = _load_config(config_path)
     policy = _resolve_policy(preset, config)
     cfg = _resolve_oracle(epsilon, lam, config)
-    rng_seed = seed if seed is not None else config.get("seed", 0)
     muts = budget_mutations if budget_mutations is not None else \
         config.get("budget_mutations", 100_000)
     if muts < 1:
@@ -122,14 +109,13 @@ def fuzz(config_path, preset, epsilon, lam, seed, out_dir,
     log_path = os.path.join(out_dir, "progress.jsonl")
     with open(log_path, "w") as log:
         result = run_fuzzer(policy, cfg, budget_mutations=muts,
-                            budget_seconds=secs, rng_seed=rng_seed,
-                            log_stream=log, reexec_audit=no_cache)
+                            budget_seconds=secs, log_stream=log,
+                            reexec_audit=no_cache)
     for i, ex in enumerate(result.exploits):
         ex.save(os.path.join(out_dir, f"exploit-{i:03d}.json"))
     _write_json(os.path.join(out_dir, "summary.json"), {
         "preset": policy.name,
         "oracle": cfg.to_json(),
-        "seed": rng_seed,
         "mutations": result.mutations,
         "states_covered": result.states_covered,
         "exploits": len(result.exploits),

@@ -60,9 +60,8 @@ from .mempool import probe_declines as _probe_declines
 from .oracle import (OracleConfig, check_eviction, check_locking,
                      evicted_all)
 from .symbolic import (InstantiationContext, SymbolizedState, SymbolizedTx,
-                       InfeasibleSymbol, cost, enumerate_mutations,
-                       execute_input, instantiate, opcost, serialize_input,
-                       symbolize_state)
+                       cost, enumerate_mutations, execute_input, instantiate,
+                       opcost, serialize_input, symbolize_state)
 from .txmodel import Transaction
 
 
@@ -264,12 +263,10 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
             cand = seed.candidates[seed.next_candidate]
             seed.next_candidate += 1
             mutations += 1
+            # The seed's candidates were enumerated from this pool and
+            # context, so each one instantiates.
             ctx = seed.ctx.copy()
-            try:
-                tx = instantiate(cand, pool, ctx)
-            except InfeasibleSymbol:
-                record(seed, cand, "Infeasible", feedback=False)
-                continue
+            tx = instantiate(cand, pool, ctx)
             mark = pool.mark()
             try:
                 outcome = pool.admit_mut(tx)

@@ -654,9 +654,10 @@ class MempoolState:
                 self.future_count += 1
                 if self._undo is not None:
                     self._undo.append((_UNDO_FLIP, e))
-                heapq.heappush(self._heap_future,
-                               (e.tx.gas_price, e.seq, e.tx.sender,
-                                e.tx.nonce))
+                if self.policy.eviction_rule is EvictionRule.PRICE_ANY:
+                    heapq.heappush(self._heap_future,
+                                   (e.tx.gas_price, e.seq, e.tx.sender,
+                                    e.tx.nonce))
             else:
                 dropped.append(e.tx)
                 self._remove(e)
@@ -673,9 +674,10 @@ class MempoolState:
             if e.is_future:
                 e.is_future = False
                 self.future_count -= 1
-                heapq.heappush(self._heap_pending,
-                               (e.tx.gas_price, e.seq, e.tx.sender,
-                                e.tx.nonce))
+                if self.policy.eviction_rule is EvictionRule.PRICE_ANY:
+                    heapq.heappush(self._heap_pending,
+                                   (e.tx.gas_price, e.seq, e.tx.sender,
+                                    e.tx.nonce))
             n += 1
 
     # -- block building --------------------------------------------------

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .mempool import (NORMAL_PRICE, NORMAL_VALUE, MempoolPolicy,
-                      MempoolState, fill_normal, new_pool)
-from .txmodel import (Address, Role, Transaction, ValidityClass, WorldState,
-                      adversarial, benign, classify)
-
-STATE_SYMBOLS = ("N", "F", "P", "C", "O", "L", "R", "E")
+                      MempoolState, PoolEntry, fill_normal, new_pool)
+from .txmodel import Address, Role, Transaction, adversarial, benign
 
 
 class InfeasibleSymbol(ValueError):
@@ -32,7 +29,9 @@ class SymbolizedTx:
     For C/O/L/R the variant selects the target sender by price rank
     (1-based, highest resident parent price first).  For P it is the
     enumeration index P_0, P_1, ...; a bare P (no resident adversarial
-    senders yet) carries no variant.
+    senders yet) carries no variant.  `instantiate` ignores a P variant,
+    so P_0..P_r from one seed instantiate the same transaction and reach
+    the same state; that is one source of duplicate exploits.
     """
 
     symbol: str
@@ -80,24 +79,6 @@ class SymbolizedState:
 
     def count(self, symbol: str) -> int:
         return sum(1 for s, _ in self.slots if s == symbol)
-
-
-def symbolize_tx(tx: Transaction, world: WorldState,
-                 resident: List[Transaction]) -> str:
-    """Symbol of an arriving transaction against the sender's residents."""
-    cls = classify(tx, world, resident)
-    if tx.sender.role is Role.BENIGN:
-        return "F" if cls is ValidityClass.FUTURE else "N"
-    if cls is ValidityClass.REPLACEMENT:
-        return "R"
-    if cls is ValidityClass.FUTURE:
-        return "F"
-    if cls is ValidityClass.OVERDRAFT:
-        return "O"
-    if cls is ValidityClass.LATENT_OVERDRAFT:
-        return "L"
-    lower = [t for t in resident if t.nonce < tx.nonce]
-    return "C" if lower else "P"
 
 
 def symbolize_state(state: MempoolState) -> SymbolizedState:
@@ -198,26 +179,72 @@ class InstantiationContext:
                                     self.benign_offset, self.adv_offset)
 
 
-def ranked_senders(state: MempoolState) -> List[Address]:
-    """Adversarial senders with a resident pending parent, ranked by
-    descending parent price (ties by sender index)."""
+def ranked_senders(state: MempoolState
+                   ) -> List[Tuple[Address, List[PoolEntry]]]:
+    """Adversarial senders with a resident pending parent, each with its
+    pending chain, ranked by descending parent price (ties by sender
+    index)."""
     ranked = []
     for sender in state.by_sender:
         if sender.role is not Role.ADVERSARIAL:
             continue
         chain = state.sender_chain_entries(sender)
         if chain:
-            ranked.append((-chain[0].tx.gas_price, sender.index, sender))
+            ranked.append((-chain[0].tx.gas_price, sender.index, sender,
+                           chain))
     ranked.sort(key=lambda t: (t[0], t[1]))
-    return [s for _, _, s in ranked]
+    return [(s, chain) for _, _, s, chain in ranked]
 
 
-def _chain_stats(state: MempoolState, sender: Address) -> Tuple[int, int]:
-    """(next free chain nonce, cumulative chain value) for a sender."""
-    chain = state.sender_chain_entries(sender)
-    confirmed = state.world.confirmed_nonce(sender)
-    nxt = confirmed + len(chain) + 1
-    return nxt, sum(e.tx.value for e in chain)
+def _concretize(symtx: SymbolizedTx, state: MempoolState,
+                ctx: InstantiationContext,
+                ranked: List[Tuple[Address, List[PoolEntry]]]
+                ) -> Optional[Transaction]:
+    """The transaction a P, L, C, O or R symbol concretizes to, or None
+    when it has none (always for E).  Reads `ctx` without advancing it;
+    `ranked` is `ranked_senders(state)`.
+
+    P is a fresh parent at the next price of the ladder 4..m+3.  L, C, O
+    and R aim at the sender of their rank (a bare symbol means rank 1):
+    L, C and O append at the sender's next chain nonce, which must be
+    free, as a latent overdraft, an affordable child and an overdraft;
+    R replaces the sender's nonce 1 when it has another resident.
+    """
+    m = ctx.capacity
+    sym = symtx.symbol
+    if sym == "P":
+        price = 4 + ctx.p_count
+        if price > m + 3:
+            return None
+        return Transaction(adversarial(ctx.adv_next + ctx.adv_offset), 1, 1,
+                           price)
+    rank = symtx.variant or 1
+    if not 1 <= rank <= len(ranked):
+        return None
+    sender, chain = ranked[rank - 1]
+    if sym == "R":
+        group = state.by_sender[sender]
+        if 1 not in group or len(group) < 2:
+            return None
+        return Transaction(sender, 1, m - 1, m + 4)
+    nxt = state.world.confirmed_nonce(sender) + len(chain) + 1
+    if (sender, nxt) in state.entries:
+        return None
+    balance = state.world.balance(sender)
+    chain_sum = sum(e.tx.value for e in chain)
+    if sym == "C":
+        value = 1
+        if chain_sum + value > balance:
+            return None
+    elif sym == "L":
+        value = m - 1
+        if chain_sum + value <= balance or value > balance:
+            return None
+    elif sym == "O":
+        value = m + 1
+    else:
+        return None
+    return Transaction(sender, nxt, value, m + 4)
 
 
 def instantiate(symtx: SymbolizedTx, state: MempoolState,
@@ -237,76 +264,39 @@ def instantiate(symtx: SymbolizedTx, state: MempoolState,
         idx = ctx.adv_next + ctx.adv_offset
         ctx.adv_next += 1
         return Transaction(adversarial(idx), m + 1, 1, m + 4)
+    tx = _concretize(symtx, state, ctx,
+                     [] if sym == "P" else ranked_senders(state))
+    if tx is None:
+        raise InfeasibleSymbol(f"{symtx.serialize()} has no transaction "
+                               f"in this state")
     if sym == "P":
-        price = 4 + ctx.p_count
-        if price > m + 3:
-            raise InfeasibleSymbol("P price range exhausted")
-        idx = ctx.adv_next + ctx.adv_offset
         ctx.adv_next += 1
         ctx.p_count += 1
-        return Transaction(adversarial(idx), 1, 1, price)
-    ranked = ranked_senders(state)
-    rank = symtx.variant or 1
-    if rank < 1 or rank > len(ranked):
-        raise InfeasibleSymbol(f"{symtx.serialize()}: no sender at rank")
-    sender = ranked[rank - 1]
-    balance = state.world.balance(sender)
-    if sym == "R":
-        group = state.by_sender.get(sender, {})
-        if 1 not in group or len(group) < 2:
-            raise InfeasibleSymbol("R needs a resident parent and child")
-        return Transaction(sender, 1, m - 1, m + 4)
-    nxt, chain_sum = _chain_stats(state, sender)
-    if (sender, nxt) in state.entries:
-        raise InfeasibleSymbol(f"{sym}: next nonce already resident")
-    if sym == "C":
-        if chain_sum + 1 > balance:
-            raise InfeasibleSymbol("C would arrive latently overdrafting")
-        return Transaction(sender, nxt, 1, m + 4)
-    if sym == "O":
-        return Transaction(sender, nxt, m + 1, m + 4)
-    if sym == "L":
-        if chain_sum + (m - 1) <= balance or m - 1 > balance:
-            raise InfeasibleSymbol("L would not be a latent overdraft")
-        return Transaction(sender, nxt, m - 1, m + 4)
-    raise InfeasibleSymbol(f"cannot instantiate symbol {sym!r}")
+    return tx
 
 
 def enumerate_mutations(state: MempoolState,
                         ctx: InstantiationContext) -> List[SymbolizedTx]:
     """Deterministic candidate symbols for the next input position.
 
-    Base order P, L, C, O, R, F; variant indices ascending; guaranteed
-    declines (F beyond quota or against a guarded full pool) are pruned.
+    Base order P, L, C, O, R, F; variant indices ascending.  A P, L, C,
+    O or R variant is a candidate exactly when `instantiate` accepts it
+    here.  P is offered as P_0..P_r when r adversarial senders are
+    resident, bare when none are.  Guaranteed declines (F beyond quota or
+    against a guarded full pool) are pruned.
     """
     pol = state.policy
-    m = ctx.capacity
-    out: List[SymbolizedTx] = []
-    adv_senders = [s for s in state.by_sender
-                   if s.role is Role.ADVERSARIAL]
-    r = len(adv_senders)
-    if 4 + ctx.p_count <= m + 3:
-        if r == 0:
-            out.append(SymbolizedTx("P"))
-        else:
-            out.extend(SymbolizedTx("P", k) for k in range(r + 1))
     ranked = ranked_senders(state)
-    feasible = {"L": [], "C": [], "O": [], "R": []}
-    for i, sender in enumerate(ranked, start=1):
-        balance = state.world.balance(sender)
-        nxt, chain_sum = _chain_stats(state, sender)
-        free = (sender, nxt) not in state.entries
-        if free and chain_sum + (m - 1) > balance and m - 1 <= balance:
-            feasible["L"].append(i)
-        if free and chain_sum + 1 <= balance:
-            feasible["C"].append(i)
-        if free:
-            feasible["O"].append(i)
-        group = state.by_sender.get(sender, {})
-        if 1 in group and len(group) >= 2:
-            feasible["R"].append(i)
+    out: List[SymbolizedTx] = []
+    if _concretize(SymbolizedTx("P"), state, ctx, ranked) is not None:
+        r = sum(1 for s in state.by_sender if s.role is Role.ADVERSARIAL)
+        out.extend([SymbolizedTx("P")] if r == 0 else
+                   [SymbolizedTx("P", k) for k in range(r + 1)])
     for sym in ("L", "C", "O", "R"):
-        out.extend(SymbolizedTx(sym, i) for i in feasible[sym])
+        for i in range(1, len(ranked) + 1):
+            cand = SymbolizedTx(sym, i)
+            if _concretize(cand, state, ctx, ranked) is not None:
+                out.append(cand)
     future_ok = state.future_count < pol.future_quota
     if future_ok and len(state.entries) >= pol.capacity and \
             pol.future_eviction_guard:

@@ -49,10 +49,19 @@ def test_fuzz_outputs_are_reproducible(tmp_path):
     for name in ("a", "b"):
         out = str(tmp_path / name)
         run_cli("fuzz", "--preset", PRESET3, "--epsilon", "0.0001",
-                "--seed", "5", "--out", out)
+                "--out", out)
         outs.append({f: open(os.path.join(out, f), "rb").read()
                      for f in sorted(os.listdir(out))})
     assert outs[0] == outs[1]
+
+
+def test_fuzz_has_no_seed_option(tmp_path):
+    # The search makes no random choice, so a seed would change nothing.
+    res = CliRunner().invoke(main, ["fuzz", "--preset", PRESET3, "--seed",
+                                    "1", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_fuzz_accepts_config_file(tmp_path):

@@ -1,8 +1,14 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+name it defines is read somewhere.
 
-No linter ships with the project, so this walks each module's syntax
-tree: a name bound by an import must be read somewhere in that module.
-``__init__.py`` is exempt, since it imports only to re-export.
+No linter ships with the project, so this walks syntax trees:
+
+- a name bound by an import must be read somewhere in that module;
+  ``__init__.py`` is exempt, since it imports only to re-export;
+- a top-level function, class or constant of the package must be read
+  somewhere in ``src/``, ``tests/`` or ``perfbench/``, outside its own
+  definition and the re-exports of ``__init__.py``.  Click commands are
+  exempt: the command group reaches them.
 """
 
 import ast
@@ -10,8 +16,12 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mpfuzz"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mpfuzz"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py")
+                 if p != PACKAGE / "__init__.py")
 
 
 def unused_imports(source: str):
@@ -38,3 +48,75 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_command(node) -> bool:
+    """A function decorated by `<group>.command(...)` or `click.group()`."""
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(func, ast.Attribute) and \
+                func.attr in ("command", "group"):
+            return True
+    return False
+
+
+def definitions(tree):
+    """(name, node) of each top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not _is_command(node):
+                yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    yield t.id, node
+
+
+def reads(tree, skip=frozenset()):
+    """Every name read as a variable or an attribute in `tree`, outside
+    the subtrees in `skip`."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def dead_names(modules, readers):
+    """(module, name) of each definition in `modules` that no file of
+    `readers` reads outside the definition itself."""
+    trees = {p: ast.parse(p.read_text()) for p in set(modules) | set(readers)}
+    defs = {p: list(definitions(trees[p])) for p in modules}
+    read = set()
+    for p in readers:
+        read |= reads(trees[p], {node for _, node in defs.get(p, ())})
+    # What a definition reads counts, except its own names.
+    for p, pairs in defs.items():
+        for _, node in pairs:
+            read |= reads(node) - {name for name, n in pairs if n is node}
+    return sorted((p.name, name) for p, pairs in defs.items()
+                  for name, _ in pairs if name not in read)
+
+
+def test_dead_name_checker_flags_an_unread_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import click\nA = 1\nB = A\n"
+                   "def f():\n    return f()\n"
+                   "@click.group()\ndef main():\n    pass\n"
+                   "@main.command()\ndef cmd():\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from mod import B\nprint(B)\n")
+    assert dead_names([mod], [mod, user]) == [("mod.py", "f")]
+
+
+def test_every_definition_is_read():
+    assert dead_names(MODULES, READERS) == []

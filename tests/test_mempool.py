@@ -3,6 +3,7 @@
 import io
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,8 +13,8 @@ from mpfuzz.baselines import run_baseline
 from mpfuzz.fuzzer import run_fuzzer
 from mpfuzz.mempool import (NORMAL_PRICE, NORMAL_VALUE, PRESET_FAMILIES,
                             DeclineReason, EvictionRule, MempoolPolicy,
-                            MempoolState, VULNERABILITY_MATRIX, admit,
-                            build_block, fill_normal, new_pool,
+                            MempoolState, TurningRule, VULNERABILITY_MATRIX,
+                            admit, build_block, fill_normal, new_pool,
                             policy_preset)
 from mpfuzz.oracle import OracleConfig
 from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, adversarial,
@@ -171,6 +172,28 @@ def test_build_block_writes_only_included_senders():
     # A3's future transaction is never included, so A3 stays unwritten.
     assert a3 not in {tx.sender for tx in included}
     assert set(state.world.accounts) == {tx.sender for tx in included}
+
+
+@pytest.mark.parametrize("family", [
+    f for f in PRESET_FAMILIES
+    if policy_preset(f"{f}-reduced(6)").eviction_rule
+    is not EvictionRule.PRICE_ANY])
+def test_no_price_any_records_under_other_rules(family):
+    # Only PriceAny reads `_heap_pending` and `_heap_future`.  A1's second
+    # nonce arrives future and stays so when the first closes the gap.
+    # Under AccountMinPrice, A2 evicts A1's top nonce, and turning (here
+    # DemoteToFuture, as a config override may set) demotes A1's third to
+    # fifth; the blocks that include A1's first promote its second.
+    pol = replace(policy_preset(f"{family}-reduced(6)"),
+                  turning_rule=TurningRule.DEMOTE_TO_FUTURE)
+    state = new_pool(pol)
+    a1 = adversarial(1)
+    for nonce in (2, 1, 3, 4, 5, 6):
+        state.admit_mut(Transaction(a1, nonce, 1, 5))
+    state.admit_mut(Transaction(adversarial(2), 1, 1, 9))
+    for _ in range(2):
+        build_block(state, GAS_PER_TX)
+    assert state._heap_pending == [] and state._heap_future == []
 
 
 def test_fuzzing_clones_no_account(monkeypatch):

@@ -1,13 +1,16 @@
 """State abstraction: symbols, ordering, costs, mutation enumeration."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mpfuzz.mempool import fill_normal, new_pool, policy_preset
+from mpfuzz.mempool import (PRESET_FAMILIES, fill_normal, new_pool,
+                            policy_preset)
 from mpfuzz.symbolic import (InfeasibleSymbol, InstantiationContext,
                              SymbolizedTx, cost, enumerate_mutations,
                              execute_input, instantiate, opcost, parse_input,
                              serialize_input, symbolize_state)
-from mpfuzz.txmodel import Transaction, adversarial
+from mpfuzz.txmodel import Role, Transaction, adversarial
+from test_properties import BIG
 
 
 def run(policy_name, text, m=None):
@@ -128,3 +131,47 @@ def test_offsets_do_not_change_symbolization():
     s2, _, _, o2 = execute_input(pol, seq, 6, benign_offset=40, adv_offset=7)
     assert symbolize_state(s1).key() == symbolize_state(s2).key()
     assert [o.kind for o in o1] == [o.kind for o in o2]
+
+
+def accepted(symtx, state, ctx):
+    try:
+        instantiate(symtx, state, ctx.copy())
+    except InfeasibleSymbol:
+        return False
+    return True
+
+
+def accepted_variants(state, ctx):
+    """The P, L, C, O and R variants `instantiate` accepts, in the
+    documented order: P_0..P_r over the r resident adversarial senders (a
+    bare P when there are none), then L, C, O and R by ascending rank.
+    Ranks run one past r, where nothing can be accepted."""
+    r = sum(1 for s in state.by_sender if s.role is Role.ADVERSARIAL)
+    ps = [SymbolizedTx("P")] if r == 0 else \
+        [SymbolizedTx("P", k) for k in range(r + 1)]
+    out = [c for c in ps if accepted(c, state, ctx)]
+    for sym in ("L", "C", "O", "R"):
+        out.extend(c for c in (SymbolizedTx(sym, i) for i in range(1, r + 2))
+                   if accepted(c, state, ctx))
+    return out
+
+
+@BIG
+@given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
+       fill=st.booleans(),
+       picks=st.lists(st.integers(0, 2 ** 16), max_size=12))
+def test_candidates_are_the_variants_instantiate_accepts(family, m, fill,
+                                                         picks):
+    # A walk of enumerated mutations from an eviction or a locking root;
+    # at each state the candidates other than F are exactly the accepted
+    # variants, and F, when offered, comes last.
+    pol = policy_preset(f"{family}-reduced({m})")
+    state, ctx, _, _ = execute_input(pol, (), m if fill else 0)
+    for pick in picks + [None]:
+        cands = enumerate_mutations(state, ctx)
+        chain = [c for c in cands if c.symbol != "F"]
+        assert chain == accepted_variants(state, ctx)
+        assert cands[len(chain):] in ([], [SymbolizedTx("F")])
+        if pick is None or not cands:
+            break
+        state.admit_mut(instantiate(cands[pick % len(cands)], state, ctx))
