@@ -24,23 +24,42 @@ from .oracle import OracleConfig
 from .fuzzer import run_fuzzer
 
 
+# The keys a `fuzz --config` file may hold.
+CONFIG_KEYS = ("preset", "policy", "epsilon", "lambda", "budget_mutations",
+               "budget_seconds")
+
+
+def _unknown_keys(what: str, given: dict, known) -> None:
+    """A usage error (exit 2) naming the keys of `given` not in `known`."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise click.UsageError(f"unknown {what} key(s): "
+                               f"{', '.join(unknown)}")
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
     with open(path) as f:
-        return json.load(f)
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise click.UsageError("a config file must hold a JSON object")
+    _unknown_keys("config", config, CONFIG_KEYS)
+    return config
 
 
 def _resolve_policy(preset: Optional[str], config: dict) -> MempoolPolicy:
     """The policy of a user-given preset and the config's `policy`
-    overrides; every command resolves its preset here, so a bad one is a
-    usage error (exit 2)."""
+    overrides; every command resolves its preset here, so a bad one, or
+    an override of a field the policy does not have, is a usage error
+    (exit 2)."""
     name = preset or config.get("preset")
     if not name:
         raise click.UsageError("no preset given (flag --preset or config)")
     try:
         policy = policy_preset(name)
         overrides = config.get("policy", {})
+        _unknown_keys("policy", overrides, policy.to_json())
         if overrides:
             merged = policy.to_json()
             merged.update(overrides)

@@ -40,6 +40,31 @@ and both shortcuts leave every output as full judging would:
   it is not symbolized, judged or probed.
 - In a benign probe, once a fresh arrival is declined the later fresh
   ones are declined alike without admission (``fill_normal``).
+
+Exploration is seed-scoped.  A selected seed's candidates all run, in
+order, against its unchanged pool, so when a seed is selected its pool
+is summarized once per sender (``PoolSummary``) and its senders are
+ranked once; each candidate's transaction comes from that ranking
+(``concretize``), as ``instantiate`` would build it from the same pool
+and context.  Nothing of this is kept on the seed; it is dropped when
+the seed's loop ends.  Each admitted mutation is then judged from the
+summaries, and each step equals the whole-pool one:
+
+- Only the senders named in the undo log since the mutation's mark
+  (``MempoolState.touched_since``) are summarized again.  A summary reads
+  only its sender's entries and world account; every entry insert,
+  remove or flip is journaled under a mark, and the world does not
+  change under one (``build_block`` refuses to run there).
+- Coverage is decided on the state key, built from the summaries' slot
+  counts and symbol groups.  The full ``SymbolizedState``, a merge of
+  every summary, is built only for a key not yet covered: only the gate
+  and a new seed read it, and a covered state is not judged again.
+- In eviction mode the verdict is built cost first: the summed
+  chargeable fees are compared with epsilon of the initial residents'
+  fees, then ``evicted_all`` is asked, and ``check_eviction`` runs only
+  when both say it triggers.  The fee sum is ``chargeable_fees``, so
+  the two tests are the verdict's own, and ``check_eviction`` stays the
+  one place that builds a verdict.
 """
 
 from __future__ import annotations
@@ -57,11 +82,12 @@ from .exploitkit import Exploit, exploit_key
 from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
 # Also bound under this name, which the benchmark's span tracer looks up.
 from .mempool import probe_declines as _probe_declines
-from .oracle import (OracleConfig, check_eviction, check_locking,
-                     evicted_all)
-from .symbolic import (InstantiationContext, SymbolizedState, SymbolizedTx,
-                       cost, enumerate_mutations, execute_input, instantiate,
-                       opcost, serialize_input, symbolize_state)
+from .oracle import (OracleConfig, chargeable_fees, check_eviction,
+                     check_locking, evicted_all, total_fees)
+from .symbolic import (InstantiationContext, PoolSummary, SymbolizedState,
+                       SymbolizedTx, concretize, cost, enumerate_mutations,
+                       execute_input, opcost, ranked_senders,
+                       serialize_input, summarize_sender, symbolize_state)
 from .txmodel import Transaction
 
 
@@ -145,14 +171,23 @@ def st_promising(new_sym: SymbolizedState, old_sym: SymbolizedState,
 
 
 def _audit_reexec(policy: MempoolPolicy, seed_input, fill_count: int,
-                  cached: MempoolState,
-                  cached_txs: Tuple[Transaction, ...]) -> None:
+                  cached: MempoolState, cached_txs: Tuple[Transaction, ...],
+                  cached_key: str, cached_fees: int) -> None:
+    """Re-execute `seed_input` and check what the search carried for it:
+    the concrete pool, the transactions, and the state key and chargeable
+    fees it took from the seed's summaries."""
     state, _, txs, _ = execute_input(policy, seed_input, fill_count)
     if state.canonical() != cached.canonical():
         raise AssertionError("cached concrete state diverged from "
                              "re-execution")
     if tuple(txs) != cached_txs:
         raise AssertionError("carried transactions diverged from "
+                             "re-execution")
+    if symbolize_state(state).key() != cached_key:
+        raise AssertionError("summarized state key diverged from "
+                             "re-execution")
+    if chargeable_fees(state) != cached_fees:
+        raise AssertionError("summarized chargeable fees diverged from "
                              "re-execution")
 
 
@@ -218,6 +253,7 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
     fill_count = m if mode == "eviction" else 0
     root_state = new_pool(policy)
     st0 = fill_normal(root_state, fill_count)
+    st0_fees = total_fees(st0)
     root_ctx = InstantiationContext(capacity=m, benign_next=fill_count + 1)
     corpus = Corpus()
     root_declined, _ = _probe_declines(root_state, m)
@@ -229,12 +265,12 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
     judge_locking = partial(check_locking, cfg=cfg)
     outcomes: Dict[str, int] = {}
 
-    def record(seed: Seed, cand: SymbolizedTx, outcome: str, **fields):
+    def record(seed_key: str, cand: SymbolizedTx, outcome: str, **fields):
         """Count a mutation's outcome and log it."""
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
         if log_stream is not None:
             log_stream.write(json.dumps(
-                {"mode": mode, "seed": seed.sym_state.key(),
+                {"mode": mode, "seed": seed_key,
                  "candidate": cand.serialize(), "outcome": outcome,
                  **fields}, sort_keys=True) + "\n")
 
@@ -255,7 +291,12 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
         if seed is None:
             stopped_by = "corpus_exhausted"
             break
+        # Seed-scoped: the pool's summaries and its senders' ranking,
+        # taken once for all its candidates (see the module docstring).
         pool = seed.concrete
+        seed_key = seed.sym_state.key()
+        summary = PoolSummary(pool)
+        ranked = ranked_senders(pool)
         while not seed.exhausted():
             if mutations >= budget_mutations or \
                     time.monotonic() >= deadline:
@@ -264,52 +305,59 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
             seed.next_candidate += 1
             mutations += 1
             # The seed's candidates were enumerated from this pool and
-            # context, so each one instantiates.
-            ctx = seed.ctx.copy()
-            tx = instantiate(cand, pool, ctx)
+            # context, so each one has a transaction.
+            tx = concretize(cand, pool, seed.ctx, ranked)
             mark = pool.mark()
             try:
                 outcome = pool.admit_mut(tx)
                 new_input = seed.input + (cand,)
                 new_txs = seed.txs + (tx,)
+                if outcome.admitted:
+                    fresh = {s: summarize_sender(pool, s)
+                             for s in pool.touched_since(mark)}
+                    key = summary.key(fresh)
+                else:
+                    fresh, key = {}, seed_key
                 if reexec_audit:
                     _audit_reexec(policy, new_input, fill_count, pool,
-                                  new_txs)
+                                  new_txs, key, summary.fee(fresh))
                 if not outcome.admitted:
                     # The pool is the seed's, judged already (see the
                     # module docstring).
-                    record(seed, cand, "Declined",
-                           state=seed.sym_state.key(), feedback=False)
+                    record(seed_key, cand, "Declined", state=seed_key,
+                           feedback=False)
                     continue
-                new_sym = symbolize_state(pool)
                 declined_probes: Optional[List[Transaction]] = None
                 if mode == "eviction":
                     verdict = (check_eviction(st0, pool, cfg)
-                               if evicted_all(st0, pool) else None)
+                               if Fraction(summary.fee(fresh), st0_fees)
+                               < cfg.epsilon and evicted_all(st0, pool)
+                               else None)
                 else:
                     declined_probes, verdict = _probe_declines(
                         pool, m, judge_locking)
                 if verdict is not None and verdict.triggered:
                     if first_at is None:
                         first_at = mutations
-                    key = exploit_key(verdict.kind, new_input)
-                    if key not in emitted:
-                        emitted.add(key)
+                    ex_key = exploit_key(verdict.kind, new_input)
+                    if ex_key not in emitted:
+                        emitted.add(ex_key)
                         exploits.append(Exploit(
                             kind=verdict.kind, pattern=None,
                             mut_config=policy, symbol_sequence=new_input,
                             concrete_txs=list(new_txs), verdict=verdict,
-                            end_state=new_sym.key()))
-                    record(seed, cand, "Exploit", state=new_sym.key(),
+                            end_state=key))
+                    record(seed_key, cand, "Exploit", state=key,
                            input=serialize_input(new_input))
                     if stop_on_first:
                         break
                     continue
 
                 fed_back = False
-                if new_sym.key() not in corpus.covered:
+                if key not in corpus.covered:
                     if declined_probes is None:
                         declined_probes, _ = _probe_declines(pool, m)
+                    new_sym = summary.state(fresh)
                     ok = True
                     if promising:
                         ok = st_promising(new_sym, seed.sym_state,
@@ -317,6 +365,8 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                                           seed.decline_probes)
                     if ok:
                         kept = pool.clone()
+                        ctx = seed.ctx.copy()
+                        ctx.advance(cand)
                         corpus.add(Seed(
                             input=new_input, sym_state=new_sym,
                             concrete=kept, ctx=ctx, order=0,
@@ -325,8 +375,8 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                             decline_probes=len(declined_probes)))
                         fed_back = True
                     else:
-                        corpus.covered.add(new_sym.key())
-                record(seed, cand, outcome.kind, state=new_sym.key(),
+                        corpus.covered.add(key)
+                record(seed_key, cand, outcome.kind, state=key,
                        feedback=fed_back)
             finally:
                 pool.rollback(mark)

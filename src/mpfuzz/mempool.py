@@ -14,7 +14,7 @@ import heapq
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
                       WorldState, benign)
@@ -282,6 +282,14 @@ class MempoolState:
          self._heap_acct) = mark.heaps
         if not self._marks:
             self._undo = None
+
+    def touched_since(self, mark: Mark) -> Set[Address]:
+        """The senders named in the undo log since `mark`, an open mark:
+        every sender with an entry inserted, removed or flipped since,
+        and every sender whose `_chain` or `_acct_key` was written.  The
+        entries of any other sender are as they were at the mark."""
+        return {rec[2] if rec[0] == _UNDO_WRITE else rec[1].tx.sender
+                for rec in self._undo[mark.undo_len:]}
 
     def _write(self, table: dict, sender: Address, value) -> None:
         """Set `table[sender]`, or delete it for None, journaled; `table`

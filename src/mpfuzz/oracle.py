@@ -6,9 +6,10 @@ transactions declined while the occupying set underpays by lambda).
 Ratios are exact rationals; serialization renders them as decimal
 strings at full precision.
 
-Search loops ask `evicted_all` first and build `check_eviction`'s verdict
-only where damage holds: without damage no eviction verdict triggers, and
-the verdict's fee sums are not cheap.
+Search loops build `check_eviction`'s verdict only where it triggers,
+since its fee sums are not cheap: they ask `evicted_all` first, and the
+fuzzer, which keeps the pool's fee sum in its summaries, asks the cost
+before that.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ def asym_D(end_state: MempoolState,
            declined: Sequence[Transaction]) -> Fraction:
     """Per-slot chargeable fee of the occupiers relative to the per-tx
     fee of the benign arrivals they decline."""
-    stn = end_state.txs()
-    if not stn or not declined:
+    occupiers = len(end_state)
+    if not occupiers or not declined:
         raise ValueError("locking ratio needs occupiers and declines")
     denom = total_fees(declined)
     if denom <= 0:
         raise ValueError("declined set carries no fees")
-    return Fraction(chargeable_fees(end_state), len(stn)) / \
+    return Fraction(chargeable_fees(end_state), occupiers) / \
         Fraction(denom, len(declined))
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .mempool import (NORMAL_PRICE, NORMAL_VALUE, MempoolPolicy,
                       MempoolState, PoolEntry, fill_normal, new_pool)
@@ -81,49 +82,132 @@ class SymbolizedState:
         return sum(1 for s, _ in self.slots if s == symbol)
 
 
-def symbolize_state(state: MempoolState) -> SymbolizedState:
-    n_slots: List[Tuple[str, int, int]] = []
-    f_slots: List[Tuple[str, int, int]] = []
-    groups: List[Tuple[int, int, List[Tuple[str, int]]]] = []
-    for sender, group in state.by_sender.items():
-        balance = state.world.balance(sender)
-        if sender.role is Role.BENIGN:
-            for nonce in sorted(group):
-                e = group[nonce]
-                if e.is_future:
-                    f_slots.append(("F", e.tx.gas_price, e.seq))
-                else:
-                    n_slots.append(("N", e.tx.gas_price, e.seq))
-            continue
-        chain = state.sender_chain_entries(sender)
-        chain_nonces = {e.tx.nonce for e in chain}
-        for nonce in sorted(group):
-            e = group[nonce]
-            if nonce not in chain_nonces:
-                f_slots.append(("F", e.tx.gas_price, e.seq))
-        if chain:
-            cum = 0
-            syms: List[Tuple[str, int]] = []
-            for pos, e in enumerate(chain):
-                cum += e.tx.value
-                if cum > balance:
-                    sym = "L"
-                elif pos == 0:
-                    sym = "P"
-                else:
-                    sym = "C"
-                syms.append((sym, e.tx.gas_price))
-            groups.append((chain[0].tx.gas_price, sender.index, syms))
-    n_slots.sort(key=lambda t: (t[1], t[2]))
-    f_slots.sort(key=lambda t: (t[1], t[2]))
-    groups.sort(key=lambda g: (g[0], g[1]))
+class SenderSummary(NamedTuple):
+    """What one sender contributes to its pool's symbolized state.
+
+    `n_slots` and `f_slots` hold a (price, seq) pair per N and F slot.
+    `group` is an adversarial sender's (parent price, index, symbol word,
+    slots) when it has a pending chain, else None; its slots are the
+    chain's (symbol, price) pairs, P first, and the word their symbols.
+    `fee` is the fee of the sender's non-L chain prefix, its part of
+    `oracle.chargeable_fees`.
+    """
+
+    n_slots: Tuple[Tuple[int, int], ...]
+    f_slots: Tuple[Tuple[int, int], ...]
+    group: Optional[Tuple[int, int, str, Tuple[Tuple[str, int], ...]]]
+    fee: int
+
+
+_NO_SLOTS = SenderSummary((), (), None, 0)
+
+
+def summarize_sender(state: MempoolState, sender: Address) -> SenderSummary:
+    """The sender's summary; it reads only the sender's entries and its
+    world account."""
+    group = state.by_sender.get(sender)
+    if not group:
+        return _NO_SLOTS
+    chain = state.sender_chain_entries(sender)
+    balance = state.world.balance(sender)
+    cum = fee = 0
+    syms: List[Tuple[str, int]] = []
+    for pos, e in enumerate(chain):
+        cum += e.tx.value
+        if cum > balance:
+            sym = "L"
+        else:
+            fee += e.tx.fee()
+            sym = "P" if pos == 0 else "C"
+        syms.append((sym, e.tx.gas_price))
+    if sender.role is Role.BENIGN:
+        return SenderSummary(
+            tuple((e.tx.gas_price, e.seq) for e in group.values()
+                  if not e.is_future),
+            tuple((e.tx.gas_price, e.seq) for e in group.values()
+                  if e.is_future),
+            None, fee)
+    # The chain is the run of nonces above the confirmed one.
+    low = state.world.confirmed_nonce(sender)
+    high = low + len(chain)
+    return SenderSummary(
+        (),
+        tuple((e.tx.gas_price, e.seq) for nonce, e in group.items()
+              if not low < nonce <= high),
+        (chain[0].tx.gas_price, sender.index,
+         "".join(sym for sym, _ in syms), tuple(syms)) if chain else None,
+        fee)
+
+
+def _merge(summaries: Collection[SenderSummary],
+           capacity: int) -> SymbolizedState:
+    """The symbolized state of a pool whose senders have `summaries`."""
     slots: List[Tuple[str, int]] = []
-    slots.extend((s, p) for s, p, _ in n_slots)
-    slots.extend((s, p) for s, p, _ in f_slots)
-    for _, _, syms in groups:
-        slots.extend(syms)
-    slots.extend(("E", 0) for _ in range(state.policy.capacity - len(slots)))
-    return SymbolizedState(tuple(slots), state.policy.capacity)
+    slots.extend(("N", p) for p, _ in
+                 sorted(x for s in summaries for x in s.n_slots))
+    slots.extend(("F", p) for p, _ in
+                 sorted(x for s in summaries for x in s.f_slots))
+    for group in sorted(s.group for s in summaries if s.group is not None):
+        slots.extend(group[3])
+    slots.extend(("E", 0) for _ in range(capacity - len(slots)))
+    return SymbolizedState(tuple(slots), capacity)
+
+
+def symbolize_state(state: MempoolState) -> SymbolizedState:
+    """The pool's symbolized state: the merge of every sender's summary."""
+    return _merge([summarize_sender(state, s) for s in state.by_sender],
+                  state.policy.capacity)
+
+
+class PoolSummary:
+    """The sender summaries of one pool, taken once, and what the pool
+    symbolizes to after a change that touched only a few senders.
+
+    A change is given as `fresh`, the summaries of the senders it touched
+    taken after it; every other sender keeps its summary.
+    """
+
+    def __init__(self, state: MempoolState):
+        self.capacity = state.policy.capacity
+        self.senders = {s: summarize_sender(state, s)
+                        for s in state.by_sender}
+        kept = self.senders.values()
+        self.n = sum(len(x.n_slots) for x in kept)
+        self.f = sum(len(x.f_slots) for x in kept)
+        self.fee_sum = sum(x.fee for x in kept)
+        # Sorted by (parent price, index); no two groups share an index.
+        self.groups = sorted(x.group for x in kept if x.group is not None)
+
+    def key(self, fresh: Dict[Address, SenderSummary]) -> str:
+        """`SymbolizedState.key()` of the changed pool."""
+        n, f, groups = self.n, self.f, self.groups
+        gone: Set[int] = set()
+        added = []
+        for sender, new in fresh.items():
+            old = self.senders.get(sender, _NO_SLOTS)
+            n += len(new.n_slots) - len(old.n_slots)
+            f += len(new.f_slots) - len(old.f_slots)
+            if old.group is not None:
+                gone.add(old.group[1])
+            if new.group is not None:
+                added.append(new.group)
+        if gone or added:
+            groups = sorted([g for g in groups if g[1] not in gone] + added)
+        word = "".join(g[2] for g in groups)
+        return "N" * n + "F" * f + word + \
+            "E" * (self.capacity - n - f - len(word))
+
+    def fee(self, fresh: Dict[Address, SenderSummary]) -> int:
+        """`oracle.chargeable_fees` of the changed pool."""
+        return self.fee_sum + sum(
+            new.fee - self.senders.get(sender, _NO_SLOTS).fee
+            for sender, new in fresh.items())
+
+    def state(self, fresh: Dict[Address, SenderSummary]) -> SymbolizedState:
+        """`symbolize_state` of the changed pool."""
+        merged = dict(self.senders)
+        merged.update(fresh)
+        return _merge(merged.values(), self.capacity)
 
 
 def cost(st: SymbolizedState) -> int:
@@ -178,6 +262,18 @@ class InstantiationContext:
                                     self.adv_next, self.p_count,
                                     self.benign_offset, self.adv_offset)
 
+    def advance(self, symtx: SymbolizedTx) -> None:
+        """Move the counters past an instantiation of `symtx`: N takes a
+        fresh benign sender, F and P a fresh adversarial one, and P the
+        next price of its ladder."""
+        sym = symtx.symbol
+        if sym == "N":
+            self.benign_next += 1
+        elif sym in ("F", "P"):
+            self.adv_next += 1
+            if sym == "P":
+                self.p_count += 1
+
 
 def ranked_senders(state: MempoolState
                    ) -> List[Tuple[Address, List[PoolEntry]]]:
@@ -196,22 +292,30 @@ def ranked_senders(state: MempoolState
     return [(s, chain) for _, _, s, chain in ranked]
 
 
-def _concretize(symtx: SymbolizedTx, state: MempoolState,
-                ctx: InstantiationContext,
-                ranked: List[Tuple[Address, List[PoolEntry]]]
-                ) -> Optional[Transaction]:
-    """The transaction a P, L, C, O or R symbol concretizes to, or None
-    when it has none (always for E).  Reads `ctx` without advancing it;
-    `ranked` is `ranked_senders(state)`.
+def concretize(symtx: SymbolizedTx, state: MempoolState,
+               ctx: InstantiationContext,
+               ranked: List[Tuple[Address, List[PoolEntry]]]
+               ) -> Optional[Transaction]:
+    """The transaction a symbol concretizes to, or None when it has none
+    (always for E).  Reads `ctx` without advancing it; `ranked` is
+    `ranked_senders(state)`, read only by L, C, O and R.
 
-    P is a fresh parent at the next price of the ladder 4..m+3.  L, C, O
-    and R aim at the sender of their rank (a bare symbol means rank 1):
-    L, C and O append at the sender's next chain nonce, which must be
-    free, as a latent overdraft, an affordable child and an overdraft;
-    R replaces the sender's nonce 1 when it has another resident.
+    N is a benign single from a fresh sender and F an adversarial future
+    from a fresh sender.  P is a fresh parent at the next price of the
+    ladder 4..m+3.  L, C, O and R aim at the sender of their rank (a bare
+    symbol means rank 1): L, C and O append at the sender's next chain
+    nonce, which must be free, as a latent overdraft, an affordable child
+    and an overdraft; R replaces the sender's nonce 1 when it has another
+    resident.
     """
     m = ctx.capacity
     sym = symtx.symbol
+    if sym == "N":
+        return Transaction(benign(ctx.benign_next + ctx.benign_offset), 1,
+                           NORMAL_VALUE, NORMAL_PRICE)
+    if sym == "F":
+        return Transaction(adversarial(ctx.adv_next + ctx.adv_offset), m + 1,
+                           1, m + 4)
     if sym == "P":
         price = 4 + ctx.p_count
         if price > m + 3:
@@ -254,24 +358,13 @@ def instantiate(symtx: SymbolizedTx, state: MempoolState,
     Raises InfeasibleSymbol when no transaction fits the pattern (for
     example a chain child without a resident parent).
     """
-    m = ctx.capacity
-    sym = symtx.symbol
-    if sym == "N":
-        idx = ctx.benign_next + ctx.benign_offset
-        ctx.benign_next += 1
-        return Transaction(benign(idx), 1, NORMAL_VALUE, NORMAL_PRICE)
-    if sym == "F":
-        idx = ctx.adv_next + ctx.adv_offset
-        ctx.adv_next += 1
-        return Transaction(adversarial(idx), m + 1, 1, m + 4)
-    tx = _concretize(symtx, state, ctx,
-                     [] if sym == "P" else ranked_senders(state))
+    tx = concretize(symtx, state, ctx,
+                    [] if symtx.symbol in ("N", "F", "P")
+                    else ranked_senders(state))
     if tx is None:
         raise InfeasibleSymbol(f"{symtx.serialize()} has no transaction "
                                f"in this state")
-    if sym == "P":
-        ctx.adv_next += 1
-        ctx.p_count += 1
+    ctx.advance(symtx)
     return tx
 
 
@@ -288,14 +381,14 @@ def enumerate_mutations(state: MempoolState,
     pol = state.policy
     ranked = ranked_senders(state)
     out: List[SymbolizedTx] = []
-    if _concretize(SymbolizedTx("P"), state, ctx, ranked) is not None:
+    if concretize(SymbolizedTx("P"), state, ctx, ranked) is not None:
         r = sum(1 for s in state.by_sender if s.role is Role.ADVERSARIAL)
         out.extend([SymbolizedTx("P")] if r == 0 else
                    [SymbolizedTx("P", k) for k in range(r + 1)])
     for sym in ("L", "C", "O", "R"):
         for i in range(1, len(ranked) + 1):
             cand = SymbolizedTx(sym, i)
-            if _concretize(cand, state, ctx, ranked) is not None:
+            if concretize(cand, state, ctx, ranked) is not None:
                 out.append(cand)
     future_ok = state.future_count < pol.future_quota
     if future_ok and len(state.entries) >= pol.capacity and \

@@ -86,6 +86,23 @@ def test_fuzz_rejects_a_bad_policy_override(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"budget_mutation": 10, "seed": 5}, ["budget_mutation", "seed"]),
+    ({"policy": {"capacity": 4, "future_qouta": 1}}, ["future_qouta"]),
+])
+def test_fuzz_rejects_unknown_config_keys(tmp_path, config, named):
+    # A misspelt or removed key would otherwise be a silent no-op.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": PRESET3, **config}))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["fuzz", "--config", str(cfg),
+                                    "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert all(key in res.output for key in named)
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
 def test_eval_success_and_incompatible(tmp_path):
     out = str(tmp_path / "eval.json")
     res = run_cli("eval", "--pattern", "XT1", "--preset",

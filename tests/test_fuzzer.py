@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from mpfuzz.fuzzer import Corpus, Seed, _audit_reexec, run_fuzzer
 from mpfuzz.mempool import (PRESET_FAMILIES, fill_normal, new_pool,
                             policy_preset, probe_declines)
-from mpfuzz.oracle import OracleConfig, check_eviction, check_locking
+from mpfuzz.oracle import (OracleConfig, chargeable_fees, check_eviction,
+                           check_locking)
 from mpfuzz.symbolic import (SymbolizedState, SymbolizedTx, execute_input,
                              parse_input, symbolize_state)
 
@@ -130,9 +131,14 @@ def test_reexec_audit_checks_carried_txs():
     pol = policy_preset(PRESET3)
     seq = parse_input("P C1 P0")
     state, _, txs, _ = execute_input(pol, seq, fill_count=3)
-    _audit_reexec(pol, seq, 3, state, tuple(txs))
+    key, fees = symbolize_state(state).key(), chargeable_fees(state)
+    _audit_reexec(pol, seq, 3, state, tuple(txs), key, fees)
     with pytest.raises(AssertionError, match="carried transactions"):
-        _audit_reexec(pol, seq, 3, state, tuple(txs[:-1]))
+        _audit_reexec(pol, seq, 3, state, tuple(txs[:-1]), key, fees)
+    with pytest.raises(AssertionError, match="state key"):
+        _audit_reexec(pol, seq, 3, state, tuple(txs), "E" * len(key), fees)
+    with pytest.raises(AssertionError, match="chargeable fees"):
+        _audit_reexec(pol, seq, 3, state, tuple(txs), key, fees + 1)
 
 
 def test_golden_early_trace():
@@ -199,6 +205,17 @@ def test_reexec_audit_passes():
     res = run_fuzzer(policy_preset(PRESET3), OracleConfig(epsilon=0.0001),
                      budget_mutations=300, reexec_audit=True)
     assert res.mutations > 0
+
+
+@pytest.mark.parametrize("family", PRESET_FAMILIES)
+def test_reexec_audit_passes_both_modes_on_every_family(family):
+    # Each mutation's pool, transactions, summarized state key and
+    # chargeable fees against a full re-execution of its input.
+    res = run_fuzzer(policy_preset(f"{family}-reduced(3)"), OracleConfig(),
+                     reexec_audit=True)
+    assert set(res.mode_stats) == {"eviction", "locking"}
+    assert all(s["stopped_by"] == "corpus_exhausted"
+               for s in res.mode_stats.values())
 
 
 def test_locking_mode_finds_fifo_lock():

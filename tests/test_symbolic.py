@@ -4,13 +4,63 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpfuzz.mempool import (PRESET_FAMILIES, fill_normal, new_pool,
-                            policy_preset)
+                            policy_preset, probe_declines)
+from mpfuzz.oracle import chargeable_fees
 from mpfuzz.symbolic import (InfeasibleSymbol, InstantiationContext,
-                             SymbolizedTx, cost, enumerate_mutations,
+                             PoolSummary, SymbolizedState, SymbolizedTx,
+                             concretize, cost, enumerate_mutations,
                              execute_input, instantiate, opcost, parse_input,
-                             serialize_input, symbolize_state)
+                             ranked_senders, serialize_input,
+                             summarize_sender, symbolize_state)
 from mpfuzz.txmodel import Role, Transaction, adversarial
 from test_properties import BIG
+
+
+def plain_symbolize_state(state):
+    """The whole-pool walk that `symbolize_state` replaced: the reference
+    for the per-sender summaries."""
+    n_slots = []
+    f_slots = []
+    groups = []
+    for sender, group in state.by_sender.items():
+        balance = state.world.balance(sender)
+        if sender.role is Role.BENIGN:
+            for nonce in sorted(group):
+                e = group[nonce]
+                if e.is_future:
+                    f_slots.append(("F", e.tx.gas_price, e.seq))
+                else:
+                    n_slots.append(("N", e.tx.gas_price, e.seq))
+            continue
+        chain = state.sender_chain_entries(sender)
+        chain_nonces = {e.tx.nonce for e in chain}
+        for nonce in sorted(group):
+            e = group[nonce]
+            if nonce not in chain_nonces:
+                f_slots.append(("F", e.tx.gas_price, e.seq))
+        if chain:
+            cum = 0
+            syms = []
+            for pos, e in enumerate(chain):
+                cum += e.tx.value
+                if cum > balance:
+                    sym = "L"
+                elif pos == 0:
+                    sym = "P"
+                else:
+                    sym = "C"
+                syms.append((sym, e.tx.gas_price))
+            groups.append((chain[0].tx.gas_price, sender.index, syms))
+    n_slots.sort(key=lambda t: (t[1], t[2]))
+    f_slots.sort(key=lambda t: (t[1], t[2]))
+    groups.sort(key=lambda g: (g[0], g[1]))
+    slots = []
+    slots.extend((s, p) for s, p, _ in n_slots)
+    slots.extend((s, p) for s, p, _ in f_slots)
+    for _, _, syms in groups:
+        slots.extend(syms)
+    slots.extend(("E", 0) for _ in range(state.policy.capacity - len(slots)))
+    return SymbolizedState(tuple(slots), state.policy.capacity)
 
 
 def run(policy_name, text, m=None):
@@ -172,6 +222,92 @@ def test_candidates_are_the_variants_instantiate_accepts(family, m, fill,
         chain = [c for c in cands if c.symbol != "F"]
         assert chain == accepted_variants(state, ctx)
         assert cands[len(chain):] in ([], [SymbolizedTx("F")])
+        # The fuzzer's seed-scoped path: one ranking for every candidate,
+        # then the shared context advance.
+        ranked = ranked_senders(state)
+        for cand in cands:
+            reference = ctx.copy()
+            advanced = ctx.copy()
+            assert concretize(cand, state, ctx, ranked) == \
+                instantiate(cand, state, reference)
+            advanced.advance(cand)
+            assert advanced == reference
         if pick is None or not cands:
             break
         state.admit_mut(instantiate(cands[pick % len(cands)], state, ctx))
+
+
+def sender_view(state):
+    """Per sender: its entries, chain state and account key."""
+    senders = set(state.by_sender) | set(state._chain) | \
+        set(state._acct_key)
+    return {s: (sorted((n, e.tx, e.is_future)
+                       for n, e in state.by_sender.get(s, {}).items()),
+                state._chain.get(s), state._acct_key.get(s))
+            for s in senders}
+
+
+def check_summary(state, mark, summary, view):
+    """What the fuzzer reads from `summary`, refreshed for the senders
+    touched since `mark`, equals a full re-summary, the plain whole-pool
+    walk and the oracle's fee sum; and `touched_since` names every sender
+    that differs from `view`, the pool's per-sender view at the mark."""
+    touched = state.touched_since(mark)
+    now = sender_view(state)
+    assert {s for s in set(now) | set(view)
+            if now.get(s) != view.get(s)} <= touched
+    fresh = {s: summarize_sender(state, s) for s in touched}
+    merged = dict(summary.senders)
+    merged.update(fresh)
+    # A sender with no entry left summarizes to no slots and no fee.
+    assert {s: x for s, x in merged.items() if x != ((), (), None, 0)} == \
+        {s: summarize_sender(state, s) for s in state.by_sender}
+    plain = plain_symbolize_state(state)
+    assert summary.key(fresh) == plain.key()
+    assert summary.state(fresh) == plain == symbolize_state(state)
+    assert summary.fee(fresh) == chargeable_fees(state)
+
+
+@BIG
+@given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
+       fill=st.booleans(),
+       steps=st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                st.sampled_from(("open", "probe", "close"))),
+                      max_size=14))
+def test_summaries_refreshed_for_touched_senders_are_exact(family, m, fill,
+                                                           steps):
+    # A walk of enumerated mutations, each admitted under a new mark with
+    # a summary taken at that mark.  A step then goes on from the changed
+    # pool, leaving its mark open, after probing it with benign arrivals
+    # under a nested mark or without; or it rolls back its own mark and
+    # some enclosing ones.  After each admission, probe and rollback,
+    # every open mark's summary must read the pool exactly.
+    pol = policy_preset(f"{family}-reduced({m})")
+    state, ctx, _, _ = execute_input(pol, (), m if fill else 0)
+    open_marks = []  # (mark, summary, view and context at the mark)
+
+    def check_all():
+        for mark, summary, view, _ in open_marks:
+            check_summary(state, mark, summary, view)
+
+    for pick, action in steps:
+        cands = enumerate_mutations(state, ctx)
+        if not cands:
+            break
+        cand = cands[pick % len(cands)]
+        tx = concretize(cand, state, ctx, ranked_senders(state))
+        open_marks.append((state.mark(), PoolSummary(state),
+                           sender_view(state), ctx))
+        state.admit_mut(tx)
+        check_all()
+        if action == "probe":
+            probe_declines(state, m)
+            check_all()
+        if action != "close":
+            ctx = ctx.copy()
+            ctx.advance(cand)
+        else:
+            for _ in range(1 + pick % len(open_marks)):
+                mark, _, _, ctx = open_marks.pop()
+                state.rollback(mark)
+            check_all()
