@@ -119,11 +119,16 @@ def fuzz(config_path, preset, epsilon, lam, out_dir,
     cfg = _resolve_oracle(epsilon, lam, config)
     muts = budget_mutations if budget_mutations is not None else \
         config.get("budget_mutations", 100_000)
-    if muts < 1:
-        raise click.UsageError(f"budget_mutations must be at least 1, "
-                               f"got {muts}")
+    if isinstance(muts, bool) or not isinstance(muts, int) or muts < 1:
+        raise click.UsageError(f"budget_mutations must be an integer of at "
+                               f"least 1, got {muts!r}")
     secs = budget_seconds if budget_seconds is not None else \
         config.get("budget_seconds", 300.0)
+    # `not secs > 0` also rejects NaN; an infinite budget is allowed.
+    if isinstance(secs, bool) or not isinstance(secs, (int, float)) or \
+            not secs > 0:
+        raise click.UsageError(f"budget_seconds must be a number above 0, "
+                               f"got {secs!r}")
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "progress.jsonl")
     with open(log_path, "w") as log:
@@ -174,8 +179,8 @@ def cmd_extend(exploit_file, target_preset, epsilon, lam, out_path):
 @main.command("replay")
 @click.argument("exploit_file", type=click.Path(exists=True))
 @click.option("--preset", required=True)
-@click.option("--blocks", type=int, default=20)
-@click.option("--txs-per-block", type=int, default=8)
+@click.option("--blocks", type=click.IntRange(min=0), default=20)
+@click.option("--txs-per-block", type=click.IntRange(min=1), default=8)
 @click.option("--out", "out_path", type=click.Path(), default="replay.json")
 def cmd_replay(exploit_file, preset, blocks, txs_per_block, out_path):
     """Replay an exploit file against a workload and report damage."""

@@ -65,6 +65,14 @@ summaries, and each step equals the whole-pool one:
   when both say it triggers.  The fee sum is ``chargeable_fees``, so
   the two tests are the verdict's own, and ``check_eviction`` stays the
   one place that builds a verdict.
+- In locking mode the verdict is built cost first too: the benign probe
+  and ``check_locking`` run only where ``oracle.could_lock`` holds for
+  the mutated pool and its summed chargeable fees.  That asks for a
+  non-empty pool with no benign sender whose per-slot chargeable fee
+  stays under lambda of a benign arrival's fee; where it fails the
+  probed verdict cannot trigger (its docstring says why), so there is
+  none.  As in eviction mode, a state with no verdict is probed for its
+  decline count only when its key is not yet covered.
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
 # Also bound under this name, which the benchmark's span tracer looks up.
 from .mempool import probe_declines as _probe_declines
 from .oracle import (OracleConfig, chargeable_fees, check_eviction,
-                     check_locking, evicted_all, total_fees)
+                     check_locking, could_lock, evicted_all, total_fees)
 from .symbolic import (InstantiationContext, PoolSummary, SymbolizedState,
                        SymbolizedTx, concretize, cost, enumerate_mutations,
                        execute_input, opcost, ranked_senders,
@@ -189,6 +197,16 @@ def _audit_reexec(policy: MempoolPolicy, seed_input, fill_count: int,
     if chargeable_fees(state) != cached_fees:
         raise AssertionError("summarized chargeable fees diverged from "
                              "re-execution")
+
+
+def _audit_locking(pool: MempoolState, m: int, judge_locking,
+                   verdict) -> None:
+    """Check the locking gate: the plain probe and verdict on `pool`
+    trigger exactly where the search's `verdict` does."""
+    _, ref = _probe_declines(pool, m, judge_locking)
+    if ref.triggered != (verdict is not None and verdict.triggered):
+        raise AssertionError("locking gate diverged from the plain probe "
+                             "and verdict")
 
 
 def run_fuzzer(policy: MempoolPolicy,
@@ -334,8 +352,12 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                                < cfg.epsilon and evicted_all(st0, pool)
                                else None)
                 else:
-                    declined_probes, verdict = _probe_declines(
-                        pool, m, judge_locking)
+                    declined_probes, verdict = (
+                        _probe_declines(pool, m, judge_locking)
+                        if could_lock(pool, summary.fee(fresh), cfg)
+                        else (None, None))
+                    if reexec_audit:
+                        _audit_locking(pool, m, judge_locking, verdict)
                 if verdict is not None and verdict.triggered:
                     if first_at is None:
                         first_at = mutations

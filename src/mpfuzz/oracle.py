@@ -6,10 +6,12 @@ transactions declined while the occupying set underpays by lambda).
 Ratios are exact rationals; serialization renders them as decimal
 strings at full precision.
 
-Search loops build `check_eviction`'s verdict only where it triggers,
-since its fee sums are not cheap: they ask `evicted_all` first, and the
-fuzzer, which keeps the pool's fee sum in its summaries, asks the cost
-before that.
+Search loops build a verdict only where it can trigger, since its fee
+sums are not cheap.  For `check_eviction` they ask `evicted_all` first,
+and the fuzzer, which keeps the pool's fee sum in its summaries, asks
+the cost before that.  For `check_locking` the fuzzer asks `could_lock`
+of the unprobed pool, with that fee sum, and runs the benign probe and
+the verdict only where it holds.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .mempool import MempoolState
-from .txmodel import Role, Transaction
+from .mempool import NORMAL_PRICE, MempoolState
+from .txmodel import GAS_PER_TX, Role, Transaction
 
 DEFAULT_EPSILON = Fraction(36, 100)
 DEFAULT_LAMBDA = Fraction(46, 100)
@@ -160,6 +162,30 @@ def check_locking(end_state: MempoolState, declined: Sequence[Transaction],
     asym = asym_D(end_state, declined)
     cost_ok = asym < cfg.lam
     return OracleVerdict(cost_ok, "Locking", asym, True, cost_ok)
+
+
+def could_lock(pool: MempoolState, fees: int, cfg: OracleConfig) -> bool:
+    """Whether `check_locking` can trigger on `pool` once a benign probe
+    (`mempool.probe_declines`) has run on it, asked of the unprobed pool;
+    `fees` is its `chargeable_fees`.  It is False only where the verdict
+    does not trigger, and where the verdict's damage holds its asym is
+    the fraction tested here.
+
+    A probe arrival that is admitted stays resident until a later
+    arrival of the probe evicts or replaces it, and that one is then
+    resident itself.  So a probe that admits any arrival, as it does
+    into an empty pool, ends with a benign occupier, and so does a pool
+    that already holds a benign sender, whose entries leave only for an
+    admitted arrival: the damage fails.  A probe that declines every
+    arrival leaves the entries as they were: the occupiers and their
+    chargeable fees are the pool's, and each declined arrival pays
+    ``NORMAL_PRICE * GAS_PER_TX``, so `asym_D` is
+    ``fees / (len(pool) * NORMAL_PRICE * GAS_PER_TX)``.
+    """
+    occupiers = len(pool)
+    if not occupiers or any(s.role is Role.BENIGN for s in pool.by_sender):
+        return False
+    return Fraction(fees, occupiers * NORMAL_PRICE * GAS_PER_TX) < cfg.lam
 
 
 def classify_tp_fp(short: OracleVerdict, extended: OracleVerdict) -> str:

@@ -227,21 +227,60 @@ def test_non_positive_threshold_is_a_usage_error(tmp_path, command,
     assert not os.path.exists(out)
 
 
+# `via_config` is False for flags only, True for a config with
+# `budget_mutations` 0, or the budgets a config file gives.
 @pytest.mark.parametrize("args, via_config", [
     (["fuzz", "--preset", PRESET3, "--budget-mutations", "-5"], False),
     (["fuzz", "--preset", PRESET3, "--budget-mutations", "0"], False),
     (["fuzz"], True),
     (["compare", "--repeats", "0"], False),
     (["compare", "--budget-mutations", "-1"], False),
+    (["fuzz", "--preset", PRESET3, "--budget-seconds", "0"], False),
+    (["fuzz", "--preset", PRESET3, "--budget-seconds", "-1"], False),
+    (["fuzz", "--preset", PRESET3, "--budget-seconds", "nan"], False),
+    (["fuzz"], {"budget_mutations": "10"}),
+    (["fuzz"], {"budget_mutations": 10.0}),
+    (["fuzz"], {"budget_mutations": True}),
+    (["fuzz"], {"budget_seconds": "x"}),
+    (["fuzz"], {"budget_seconds": 0}),
+    (["fuzz"], {"budget_seconds": -0.5}),
+    (["fuzz"], {"budget_seconds": True}),
+    (["replay", "--blocks", "-2"], False),
+    (["replay", "--txs-per-block", "0"], False),
 ])
 def test_empty_run_is_a_usage_error(tmp_path, args, via_config):
+    if args[0] == "replay":
+        args = args + [saved_exploit(tmp_path), "--preset",
+                       "geth-legacy-reduced(6)"]
     if via_config:
+        budgets = via_config if isinstance(via_config, dict) else \
+            {"budget_mutations": 0}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"preset": PRESET3,
-                                   "budget_mutations": 0}))
+        cfg.write_text(json.dumps({"preset": PRESET3, **budgets}))
         args = args + ["--config", str(cfg)]
     out = str(tmp_path / "out")
     res = CliRunner().invoke(main, args + ["--out", out])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert not os.path.exists(out)
+
+
+def test_fuzz_allows_an_unbounded_time_budget(tmp_path):
+    out = str(tmp_path / "out")
+    res = run_cli("fuzz", "--preset", PRESET3, "--budget-seconds", "inf",
+                  "--budget-mutations", "50", "--out", out)
+    assert res.exit_code == 0, res.output
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["mutations"] == 50
+    assert all(s["stopped_by"] != "seconds"
+               for s in summary["mode_stats"].values())
+
+
+def test_replay_of_zero_blocks(tmp_path):
+    out = str(tmp_path / "replay.json")
+    res = run_cli("replay", saved_exploit(tmp_path), "--preset",
+                  "geth-legacy-reduced(6)", "--blocks", "0", "--out", out)
+    assert res.exit_code == 0, res.output
+    assert "cost/block=0.0" in res.output
+    report = json.load(open(out))
+    assert report["blocks"] == 0 and report["series"] == []

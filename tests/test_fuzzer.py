@@ -218,6 +218,15 @@ def test_reexec_audit_passes_both_modes_on_every_family(family):
                for s in res.mode_stats.values())
 
 
+def test_reexec_audit_checks_the_locking_gate(monkeypatch):
+    # A gate that skips every pool skips the FIFO lock's too.
+    monkeypatch.setattr("mpfuzz.fuzzer.could_lock",
+                        lambda pool, fees, cfg: False)
+    with pytest.raises(AssertionError, match="locking gate"):
+        run_fuzzer(policy_preset("reth-fifo-reduced(3)"), OracleConfig(),
+                   modes=("locking",), reexec_audit=True)
+
+
 def test_locking_mode_finds_fifo_lock():
     res = run_fuzzer(policy_preset("reth-fifo-reduced(3)"), OracleConfig(),
                      modes=("locking",), budget_mutations=2000)

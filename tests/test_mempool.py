@@ -530,6 +530,20 @@ FILL_OPS = st.lists(st.one_of(
     st.tuples(st.just("block"), st.integers(1, 2))), max_size=20)
 
 
+def apply_fill_ops(state, m, ops):
+    """Admit the arrivals of FILL_OPS and run its blocks; ("next", j)
+    arrives from B(m+j)."""
+    for op in ops:
+        if op[0] == "block":
+            build_block(state, op[1] * GAS_PER_TX)
+            continue
+        _, i, offset, value, price = op
+        sender = SENDERS[i] if op[0] == "tx" else benign(m + i)
+        confirmed, run, _, _ = walk_chain(state, sender)
+        state.admit_mut(Transaction(sender, max(1, confirmed + run + offset),
+                                    value, price))
+
+
 @BIG
 @given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
        ops=FILL_OPS, count=st.integers(1, 12))
@@ -543,15 +557,7 @@ FILL_OPS = st.lists(st.one_of(
 def test_fill_normal_equals_admission_loop(family, m, ops, count):
     state = new_pool(policy_preset(f"{family}-reduced({m})"))
     fill_normal(state, m)
-    for op in ops:
-        if op[0] == "block":
-            build_block(state, op[1] * GAS_PER_TX)
-            continue
-        _, i, offset, value, price = op
-        sender = SENDERS[i] if op[0] == "tx" else benign(m + i)
-        confirmed, run, _, _ = walk_chain(state, sender)
-        state.admit_mut(Transaction(sender, max(1, confirmed + run + offset),
-                                    value, price))
+    apply_fill_ops(state, m, ops)
     fast, plain = state.clone(), state.clone()
     assert fill_normal(fast, count) == plain_fill_normal(plain, count)
     assert fast.canonical() == plain.canonical()
@@ -559,3 +565,36 @@ def test_fill_normal_equals_admission_loop(family, m, ops, count):
         (plain.seq, plain.future_count, plain._benign_auto)
     for sender, cached in fast._chain.items():
         assert cached == walk_chain(fast, sender), sender
+
+
+@BIG
+@given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
+       prefill=st.integers(0, 6), ops=FILL_OPS, count=st.integers(1, 12))
+# The fill's first arrival evicts B5, the only benign resident, and
+# stays; the rest are declined.
+@example(family="geth-legacy", m=3, prefill=0,
+         ops=[("tx", 0, 1, 1, 9), ("tx", 0, 1, 1, 9), ("next", 2, 1, 1, 1)],
+         count=3)
+def test_fill_normal_keeps_a_benign_sender_once_it_admits(family, m, prefill,
+                                                          ops, count):
+    # An arrival the fill admits stays until a later arrival of the fill
+    # evicts or replaces it, which is then resident itself: the ground of
+    # `oracle.could_lock`.
+    state = new_pool(policy_preset(f"{family}-reduced({m})"))
+    fill_normal(state, min(prefill, m))
+    apply_fill_ops(state, m, ops)
+    admit_mut = state.admit_mut
+    admitted = []
+
+    def holds_benign():
+        return any(s.role is Role.BENIGN for s in state.by_sender)
+
+    def observed(tx):
+        outcome = admit_mut(tx)
+        admitted.append(outcome.admitted)
+        assert not any(admitted) or holds_benign()
+        return outcome
+
+    state.admit_mut = observed
+    fill_normal(state, count)
+    assert not any(admitted) or holds_benign()

@@ -1,14 +1,17 @@
 """Damage ratios and trigger conditions, computed in exact arithmetic."""
 
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import example, given, strategies as st
 
-from mpfuzz.mempool import build_block, fill_normal, new_pool, policy_preset
+from mpfuzz.mempool import (NORMAL_PRICE, PRESET_FAMILIES, build_block,
+                            fill_normal, new_pool, policy_preset,
+                            probe_declines)
 from mpfuzz.oracle import (DEFAULT_EPSILON, DEFAULT_LAMBDA, OracleConfig,
                            OracleVerdict, asym_D, asym_E, chargeable_fees,
                            check_eviction, check_locking, classify_tp_fp,
-                           evicted_all, format_ratio, total_fees)
+                           could_lock, evicted_all, format_ratio, total_fees)
 from mpfuzz.txmodel import GAS_PER_TX, Transaction, adversarial, benign
 from test_properties import BIG, SMALL_PRESETS
 
@@ -149,3 +152,68 @@ def test_evicted_all_equals_check_eviction(preset, ops):
         damage = keyset_damage(st0, state)
         assert evicted_all(st0, state) == damage
         assert check_eviction(st0, state, cfg).damage_ok == damage
+
+
+# A locking pool is built from an empty one.  An arrival comes from an
+# adversarial or a benign sender ("adv"/"benign", sender, offset, value,
+# price) at a nonce relative to the sender's first gap: offset 0 replaces
+# the top of its run (or repeats an executed nonce), 1 extends it, 2 or
+# more is a future.  The benign senders are the probe's own first ones.
+# A fill admits benign residents as the probe does, and blocks execute
+# chain heads, after which a sender's nonce 1 is an executed one.
+LOCK_OPS = st.lists(st.one_of(
+    *[st.tuples(st.just("adv"), st.integers(1, 3),
+                st.sampled_from((-1, 0, 1, 1, 1, 2)),
+                st.sampled_from((1, 1, 2, 3)), st.integers(1, 9))] * 4,
+    st.tuples(st.just("benign"), st.integers(1, 2),
+              st.sampled_from((0, 1, 1, 2)), st.sampled_from((1, 1, 2)),
+              st.integers(1, 9)),
+    st.tuples(st.just("fill"), st.integers(1, 2)),
+    st.tuples(st.just("block"), st.integers(1, 2))), max_size=20)
+
+
+@BIG
+@given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
+       lam=st.integers(1, 30).map(lambda k: Fraction(k, 20)), ops=LOCK_OPS)
+# Three adversarial pendings at price 1 fill a pool that never evicts:
+# every probe arrival is declined and the lock costs 1/3.
+@example(family="reth-fifo", m=3, lam=Fraction(9, 20),
+         ops=[("adv", i, 1, 1, 1) for i in (1, 2, 3)])
+# B1 is executed and leaves, so the probe's arrival from B1 repeats an
+# executed nonce and is declined; the pool holds no benign sender.
+@example(family="reth-fifo", m=3, lam=Fraction(9, 20),
+         ops=[("benign", 1, 1, 1, 9), ("block", 1), ("adv", 1, 1, 1, 1),
+              ("adv", 2, 1, 1, 1), ("adv", 3, 1, 1, 1)])
+def test_could_lock_is_sound_against_the_probed_verdict(family, m, lam,
+                                                        ops):
+    state = new_pool(policy_preset(f"{family}-reduced({m})"))
+    cfg = OracleConfig(lam=lam)
+    judge = partial(check_locking, cfg=cfg)
+    for op in ops:
+        if op[0] == "block":
+            build_block(state, op[1] * GAS_PER_TX)
+        elif op[0] == "fill":
+            fill_normal(state, op[1])
+        else:
+            kind, i, offset, value, price = op
+            sender = adversarial(i) if kind == "adv" else benign(i)
+            group = state.by_sender.get(sender, {})
+            gap = state.world.confirmed_nonce(sender) + 1
+            while gap in group:
+                gap += 1
+            state.admit_mut(Transaction(sender, max(1, gap - 1 + offset),
+                                        value, price))
+        fees = chargeable_fees(state)
+        _, verdict = probe_declines(state, m, judge)
+        if not could_lock(state, fees, cfg):
+            assert not verdict.triggered
+        elif verdict.damage_ok:
+            assert verdict.asym == Fraction(
+                fees, len(state) * NORMAL_PRICE * GAS_PER_TX)
+        if verdict.damage_ok:
+            # The verdict triggers at any lambda above its asym, so the
+            # gate must pass at the least of them too.
+            tight = OracleConfig(lam=verdict.asym + Fraction(1, 10 ** 9))
+            _, at_tight = probe_declines(state, m,
+                                         partial(check_locking, cfg=tight))
+            assert at_tight.triggered and could_lock(state, fees, tight)
