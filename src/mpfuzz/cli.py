@@ -109,8 +109,12 @@ def main():
 @click.option("--budget-mutations", type=int, default=None)
 @click.option("--budget-seconds", type=float, default=None)
 @click.option("--no-cache", is_flag=True, default=False,
-              help="Re-execute every input instead of trusting cached "
-                   "concrete states.")
+              help="Audit the search; its outputs stay the same.  "
+                   "Re-execute each mutation's input and check the pool, "
+                   "transactions, state key and chargeable fees the search "
+                   "carried, check the locking gate against the plain "
+                   "probe, and judge each repeated transaction in full "
+                   "against its replayed result.  A divergence raises.")
 def fuzz(config_path, preset, epsilon, lam, out_dir,
          budget_mutations, budget_seconds, no_cache):
     """Run the symbolized fuzzer and write exploits + progress log."""

@@ -26,8 +26,9 @@ and ``states_covered`` counts judged states, kept or not.
 
 Each mutation is admitted into its seed's own pool under a mark
 (``MempoolState.mark``), judged there and rolled back; only a state
-kept as a seed is copied.  Two kinds of decline are not judged again,
-and both shortcuts leave every output as full judging would:
+kept as a seed is copied.  Two kinds of decline and repeated
+transactions are not judged again, and the three shortcuts leave every
+output as full judging would:
 
 - A mutation the pool declines leaves the pool's entries and world as
   they were, so its symbolized state is its seed's.  That state is
@@ -40,14 +41,26 @@ and both shortcuts leave every output as full judging would:
   it is not symbolized, judged or probed.
 - In a benign probe, once a fresh arrival is declined the later fresh
   ones are declined alike without admission (``fill_normal``).
+- Within one seed, a candidate whose transaction equals an earlier
+  candidate's (P_1..P_r all repeat P_0's) is neither admitted nor
+  judged; it gets the earlier candidate's result.  Every candidate runs
+  against the seed's pool rolled back to its mark and the seed's
+  context, so the admission, the pool, the key, the fee sum and the
+  verdict are the earlier one's.  A judged key is covered from then on,
+  so the repeat is logged with the same outcome and key and no
+  feedback.  A declined repeat is logged as declined with the seed's
+  key, and a triggering one triggers again: it is emitted under its own
+  input, whose ``exploit_key`` differs.  Under ``reexec_audit`` each
+  repeat is judged in full as well and must equal its replayed result.
 
 Exploration is seed-scoped.  A selected seed's candidates all run, in
-order, against its unchanged pool, so when a seed is selected its pool
-is summarized once per sender (``PoolSummary``) and its senders are
-ranked once; each candidate's transaction comes from that ranking
-(``concretize``), as ``instantiate`` would build it from the same pool
-and context.  Nothing of this is kept on the seed; it is dropped when
-the seed's loop ends.  Each admitted mutation is then judged from the
+order, against its unchanged pool and context.  Each carries the
+transaction ``enumerate_mutations`` built for it from that pool and
+context when the seed was made, as ``instantiate`` would build it, so
+no candidate is concretized again.  When a seed is selected its pool is
+summarized once per sender (``PoolSummary``).  The summaries and the
+replayed results are not kept on the seed; they are dropped when the
+seed's loop ends.  Each admitted mutation is then judged from the
 summaries, and each step equals the whole-pool one:
 
 - Only the senders named in the undo log since the mutation's mark
@@ -93,9 +106,9 @@ from .mempool import probe_declines as _probe_declines
 from .oracle import (OracleConfig, chargeable_fees, check_eviction,
                      check_locking, could_lock, evicted_all, total_fees)
 from .symbolic import (InstantiationContext, PoolSummary, SymbolizedState,
-                       SymbolizedTx, concretize, cost, enumerate_mutations,
-                       execute_input, opcost, ranked_senders,
-                       serialize_input, summarize_sender, symbolize_state)
+                       SymbolizedTx, cost, enumerate_mutations,
+                       execute_input, opcost, serialize_input,
+                       summarize_sender, symbolize_state)
 from .txmodel import Transaction
 
 
@@ -106,7 +119,8 @@ class Seed:
     concrete: MempoolState
     ctx: InstantiationContext
     order: int
-    candidates: Tuple[SymbolizedTx, ...] = ()
+    # Each candidate with the transaction it concretizes to.
+    candidates: Tuple[Tuple[SymbolizedTx, Transaction], ...] = ()
     next_candidate: int = 0
     txs: Tuple[Transaction, ...] = ()
     decline_probes: int = 0
@@ -209,6 +223,17 @@ def _audit_locking(pool: MempoolState, m: int, judge_locking,
                              "and verdict")
 
 
+def _replayed(first: tuple) -> tuple:
+    """The result a repeat of `first`'s transaction gets within the same
+    seed.  A judged mutation's result is its logged outcome, its state
+    key, its verdict when that triggered, and whether feedback kept its
+    state as a seed.  A repeat gets the same outcome, key and verdict,
+    and no feedback, because the first judging left its key covered (see
+    the module docstring)."""
+    outcome, key, verdict, _ = first
+    return outcome, key, verdict, False
+
+
 def run_fuzzer(policy: MempoolPolicy,
                cfg: Optional[OracleConfig] = None,
                budget_mutations: int = 100_000,
@@ -292,6 +317,70 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                  "candidate": cand.serialize(), "outcome": outcome,
                  **fields}, sort_keys=True) + "\n")
 
+    def judge(seed: Seed, seed_key: str, summary: PoolSummary,
+              cand: SymbolizedTx, tx: Transaction,
+              new_input: Tuple[SymbolizedTx, ...]) -> tuple:
+        """Admit `tx` into the seed's pool under a mark, judge it, keep
+        its state as a new seed when feedback says so, and roll back."""
+        pool = seed.concrete
+        mark = pool.mark()
+        try:
+            outcome = pool.admit_mut(tx)
+            if outcome.admitted:
+                fresh = {s: summarize_sender(pool, s)
+                         for s in pool.touched_since(mark)}
+                key = summary.key(fresh)
+            else:
+                fresh, key = {}, seed_key
+            if reexec_audit:
+                _audit_reexec(policy, new_input, fill_count, pool,
+                              seed.txs + (tx,), key, summary.fee(fresh))
+            if not outcome.admitted:
+                # The pool is the seed's, judged already (see the module
+                # docstring).
+                return "Declined", key, None, False
+            declined_probes: Optional[List[Transaction]] = None
+            if mode == "eviction":
+                verdict = (check_eviction(st0, pool, cfg)
+                           if Fraction(summary.fee(fresh), st0_fees)
+                           < cfg.epsilon and evicted_all(st0, pool)
+                           else None)
+            else:
+                declined_probes, verdict = (
+                    _probe_declines(pool, m, judge_locking)
+                    if could_lock(pool, summary.fee(fresh), cfg)
+                    else (None, None))
+                if reexec_audit:
+                    _audit_locking(pool, m, judge_locking, verdict)
+            if verdict is not None and verdict.triggered:
+                return "Exploit", key, verdict, False
+            fed_back = False
+            if key not in corpus.covered:
+                if declined_probes is None:
+                    declined_probes, _ = _probe_declines(pool, m)
+                new_sym = summary.state(fresh)
+                ok = True
+                if promising:
+                    ok = st_promising(new_sym, seed.sym_state,
+                                      len(declined_probes),
+                                      seed.decline_probes)
+                if ok:
+                    kept = pool.clone()
+                    ctx = seed.ctx.copy()
+                    ctx.advance(cand)
+                    corpus.add(Seed(
+                        input=new_input, sym_state=new_sym,
+                        concrete=kept, ctx=ctx, order=0,
+                        candidates=tuple(enumerate_mutations(kept, ctx)),
+                        txs=seed.txs + (tx,),
+                        decline_probes=len(declined_probes)))
+                    fed_back = True
+                else:
+                    corpus.covered.add(key)
+            return outcome.kind, key, None, fed_back
+        finally:
+            pool.rollback(mark)
+
     mutations = 0
     first_at: Optional[int] = None
     deadline = time.monotonic() + budget_seconds
@@ -309,98 +398,48 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
         if seed is None:
             stopped_by = "corpus_exhausted"
             break
-        # Seed-scoped: the pool's summaries and its senders' ranking,
-        # taken once for all its candidates (see the module docstring).
-        pool = seed.concrete
+        # Seed-scoped: the pool's summaries, taken once for all its
+        # candidates, and what a repeated transaction replays (see the
+        # module docstring).
         seed_key = seed.sym_state.key()
-        summary = PoolSummary(pool)
-        ranked = ranked_senders(pool)
+        summary = PoolSummary(seed.concrete)
+        replays: Dict[Transaction, tuple] = {}
         while not seed.exhausted():
             if mutations >= budget_mutations or \
                     time.monotonic() >= deadline:
                 break
-            cand = seed.candidates[seed.next_candidate]
+            cand, tx = seed.candidates[seed.next_candidate]
             seed.next_candidate += 1
             mutations += 1
-            # The seed's candidates were enumerated from this pool and
-            # context, so each one has a transaction.
-            tx = concretize(cand, pool, seed.ctx, ranked)
-            mark = pool.mark()
-            try:
-                outcome = pool.admit_mut(tx)
-                new_input = seed.input + (cand,)
-                new_txs = seed.txs + (tx,)
-                if outcome.admitted:
-                    fresh = {s: summarize_sender(pool, s)
-                             for s in pool.touched_since(mark)}
-                    key = summary.key(fresh)
-                else:
-                    fresh, key = {}, seed_key
-                if reexec_audit:
-                    _audit_reexec(policy, new_input, fill_count, pool,
-                                  new_txs, key, summary.fee(fresh))
-                if not outcome.admitted:
-                    # The pool is the seed's, judged already (see the
-                    # module docstring).
-                    record(seed_key, cand, "Declined", state=seed_key,
-                           feedback=False)
-                    continue
-                declined_probes: Optional[List[Transaction]] = None
-                if mode == "eviction":
-                    verdict = (check_eviction(st0, pool, cfg)
-                               if Fraction(summary.fee(fresh), st0_fees)
-                               < cfg.epsilon and evicted_all(st0, pool)
-                               else None)
-                else:
-                    declined_probes, verdict = (
-                        _probe_declines(pool, m, judge_locking)
-                        if could_lock(pool, summary.fee(fresh), cfg)
-                        else (None, None))
-                    if reexec_audit:
-                        _audit_locking(pool, m, judge_locking, verdict)
-                if verdict is not None and verdict.triggered:
-                    if first_at is None:
-                        first_at = mutations
-                    ex_key = exploit_key(verdict.kind, new_input)
-                    if ex_key not in emitted:
-                        emitted.add(ex_key)
-                        exploits.append(Exploit(
-                            kind=verdict.kind, pattern=None,
-                            mut_config=policy, symbol_sequence=new_input,
-                            concrete_txs=list(new_txs), verdict=verdict,
-                            end_state=key))
-                    record(seed_key, cand, "Exploit", state=key,
-                           input=serialize_input(new_input))
-                    if stop_on_first:
-                        break
-                    continue
-
-                fed_back = False
-                if key not in corpus.covered:
-                    if declined_probes is None:
-                        declined_probes, _ = _probe_declines(pool, m)
-                    new_sym = summary.state(fresh)
-                    ok = True
-                    if promising:
-                        ok = st_promising(new_sym, seed.sym_state,
-                                          len(declined_probes),
-                                          seed.decline_probes)
-                    if ok:
-                        kept = pool.clone()
-                        ctx = seed.ctx.copy()
-                        ctx.advance(cand)
-                        corpus.add(Seed(
-                            input=new_input, sym_state=new_sym,
-                            concrete=kept, ctx=ctx, order=0,
-                            candidates=tuple(enumerate_mutations(kept, ctx)),
-                            txs=new_txs,
-                            decline_probes=len(declined_probes)))
-                        fed_back = True
-                    else:
-                        corpus.covered.add(key)
-                record(seed_key, cand, outcome.kind, state=key,
+            new_input = seed.input + (cand,)
+            replay = replays.get(tx)
+            if replay is None or reexec_audit:
+                result = judge(seed, seed_key, summary, cand, tx, new_input)
+                if replay is None:
+                    replays[tx] = _replayed(result)
+                elif result != replay:
+                    raise AssertionError("replayed result diverged from "
+                                         "full judging")
+            else:
+                result = replay
+            outcome, key, verdict, fed_back = result
+            if verdict is None:
+                record(seed_key, cand, outcome, state=key,
                        feedback=fed_back)
-            finally:
-                pool.rollback(mark)
+                continue
+            if first_at is None:
+                first_at = mutations
+            ex_key = exploit_key(verdict.kind, new_input)
+            if ex_key not in emitted:
+                emitted.add(ex_key)
+                exploits.append(Exploit(
+                    kind=verdict.kind, pattern=None, mut_config=policy,
+                    symbol_sequence=new_input,
+                    concrete_txs=list(seed.txs) + [tx], verdict=verdict,
+                    end_state=key))
+            record(seed_key, cand, outcome, state=key,
+                   input=serialize_input(new_input))
+            if stop_on_first:
+                break
     return {"mutations": mutations, "states_covered": len(corpus.covered),
             "outcomes": outcomes, "stopped_by": stopped_by}, first_at

@@ -31,8 +31,10 @@ class SymbolizedTx:
     (1-based, highest resident parent price first).  For P it is the
     enumeration index P_0, P_1, ...; a bare P (no resident adversarial
     senders yet) carries no variant.  `instantiate` ignores a P variant,
-    so P_0..P_r from one seed instantiate the same transaction and reach
-    the same state; that is one source of duplicate exploits.
+    so P_0..P_r from one seed instantiate the same transaction.
+    `enumerate_mutations` carries each candidate's transaction, and the
+    fuzzer judges a repeated transaction once per seed and replays that
+    result for the repeats.
     """
 
     symbol: str
@@ -368,34 +370,41 @@ def instantiate(symtx: SymbolizedTx, state: MempoolState,
     return tx
 
 
-def enumerate_mutations(state: MempoolState,
-                        ctx: InstantiationContext) -> List[SymbolizedTx]:
-    """Deterministic candidate symbols for the next input position.
+def enumerate_mutations(state: MempoolState, ctx: InstantiationContext
+                        ) -> List[Tuple[SymbolizedTx, Transaction]]:
+    """Deterministic candidates for the next input position, each with
+    the transaction it concretizes to here.
 
     Base order P, L, C, O, R, F; variant indices ascending.  A P, L, C,
     O or R variant is a candidate exactly when `instantiate` accepts it
-    here.  P is offered as P_0..P_r when r adversarial senders are
-    resident, bare when none are.  Guaranteed declines (F beyond quota or
-    against a guarded full pool) are pruned.
+    here, and its transaction is the one `instantiate` builds.  P is
+    offered as P_0..P_r when r adversarial senders are resident, bare
+    when none are; every P_k carries the same transaction object, and
+    the fuzzer judges it once per seed and replays that result for the
+    repeats.  Guaranteed declines (F beyond quota or against a guarded
+    full pool) are pruned.
     """
     pol = state.policy
     ranked = ranked_senders(state)
-    out: List[SymbolizedTx] = []
-    if concretize(SymbolizedTx("P"), state, ctx, ranked) is not None:
+    out: List[Tuple[SymbolizedTx, Transaction]] = []
+    p_tx = concretize(SymbolizedTx("P"), state, ctx, ranked)
+    if p_tx is not None:
         r = sum(1 for s in state.by_sender if s.role is Role.ADVERSARIAL)
-        out.extend([SymbolizedTx("P")] if r == 0 else
-                   [SymbolizedTx("P", k) for k in range(r + 1)])
+        out.extend([(SymbolizedTx("P"), p_tx)] if r == 0 else
+                   [(SymbolizedTx("P", k), p_tx) for k in range(r + 1)])
     for sym in ("L", "C", "O", "R"):
         for i in range(1, len(ranked) + 1):
             cand = SymbolizedTx(sym, i)
-            if concretize(cand, state, ctx, ranked) is not None:
-                out.append(cand)
+            tx = concretize(cand, state, ctx, ranked)
+            if tx is not None:
+                out.append((cand, tx))
     future_ok = state.future_count < pol.future_quota
     if future_ok and len(state.entries) >= pol.capacity and \
             pol.future_eviction_guard:
         future_ok = False
     if future_ok:
-        out.append(SymbolizedTx("F"))
+        f = SymbolizedTx("F")
+        out.append((f, concretize(f, state, ctx, ranked)))
     return out
 
 

@@ -227,6 +227,44 @@ def test_reexec_audit_checks_the_locking_gate(monkeypatch):
                    modes=("locking",), reexec_audit=True)
 
 
+def campaign_record(family, reexec_audit):
+    """The log text, exploits and `mode_stats` of a two-mode campaign on
+    `family` at `reduced(3)`, run to corpus exhaustion."""
+    buf = io.StringIO()
+    res = run_fuzzer(policy_preset(f"{family}-reduced(3)"), OracleConfig(),
+                     log_stream=buf, reexec_audit=reexec_audit)
+    assert all(s["stopped_by"] == "corpus_exhausted"
+               for s in res.mode_stats.values())
+    return (buf.getvalue(), [e.to_json() for e in res.exploits],
+            res.mode_stats)
+
+
+def test_replay_equals_full_judging():
+    # Without the audit a repeated transaction replays its first result;
+    # with it every repeat is judged in full and checked against that
+    # replay.  The records must not differ.
+    repeats = 0
+    for family in PRESET_FAMILIES:
+        replayed = campaign_record(family, reexec_audit=False)
+        assert replayed == campaign_record(family, reexec_audit=True)
+        # P_1..P_r repeat P_0's transaction.
+        cands = [json.loads(line)["candidate"]
+                 for line in replayed[0].splitlines()]
+        repeats += sum(c[0] == "P" and c not in ("P", "P0") for c in cands)
+    assert repeats > 100
+
+
+def test_reexec_audit_checks_replayed_results(monkeypatch):
+    # A replay that changes the state key shows in the log without the
+    # audit, and the audit's full judging of the repeat refuses it.
+    monkeypatch.setattr("mpfuzz.fuzzer._replayed",
+                        lambda first: (first[0], "?", first[2], False))
+    log, _, _ = campaign_record(PRESET_FAMILIES[0], reexec_audit=False)
+    assert '"state": "?"' in log
+    with pytest.raises(AssertionError, match="replayed result"):
+        campaign_record(PRESET_FAMILIES[0], reexec_audit=True)
+
+
 def test_locking_mode_finds_fifo_lock():
     res = run_fuzzer(policy_preset("reth-fifo-reduced(3)"), OracleConfig(),
                      modes=("locking",), budget_mutations=2000)

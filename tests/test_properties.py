@@ -40,7 +40,7 @@ def drive(policy, choices, fill=True):
         cands = enumerate_mutations(state, ctx)
         if not cands:
             break
-        symtx = cands[c % len(cands)]
+        symtx, _ = cands[c % len(cands)]
         tx = instantiate(symtx, state, ctx)
         state.admit_mut(tx)
         seq.append(symtx)

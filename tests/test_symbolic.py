@@ -134,20 +134,20 @@ def test_cost_and_opcost_examples():
 def test_enumeration_order_root():
     pol = policy_preset("geth-legacy-reduced(3)")
     state, ctx, _, _ = execute_input(pol, (), fill_count=3)
-    cands = [c.serialize() for c in enumerate_mutations(state, ctx)]
+    cands = [c.serialize() for c, _ in enumerate_mutations(state, ctx)]
     assert cands == ["P", "F"]
 
 
 def test_enumeration_order_with_resident_sender():
     state, ctx, _, _ = run("geth-legacy-reduced(3)", "P", m=3)
-    cands = [c.serialize() for c in enumerate_mutations(state, ctx)]
+    cands = [c.serialize() for c, _ in enumerate_mutations(state, ctx)]
     assert cands == ["P0", "P1", "C1", "O1", "F"]
 
 
 def test_future_pruned_when_quota_full():
     pol = policy_preset("geth-1.11-reduced(3,1,2,2)")
     state, ctx, _, _ = execute_input(pol, parse_input("F"), fill_count=3)
-    cands = [c.serialize() for c in enumerate_mutations(state, ctx)]
+    cands = [c.serialize() for c, _ in enumerate_mutations(state, ctx)]
     assert "F" not in cands
 
 
@@ -214,11 +214,15 @@ def test_candidates_are_the_variants_instantiate_accepts(family, m, fill,
                                                          picks):
     # A walk of enumerated mutations from an eviction or a locking root;
     # at each state the candidates other than F are exactly the accepted
-    # variants, and F, when offered, comes last.
+    # variants, F comes last when offered, and each candidate carries the
+    # transaction `instantiate` builds for it.
     pol = policy_preset(f"{family}-reduced({m})")
     state, ctx, _, _ = execute_input(pol, (), m if fill else 0)
     for pick in picks + [None]:
-        cands = enumerate_mutations(state, ctx)
+        pairs = enumerate_mutations(state, ctx)
+        for cand, tx in pairs:
+            assert tx == instantiate(cand, state, ctx.copy())
+        cands = [cand for cand, _ in pairs]
         chain = [c for c in cands if c.symbol != "F"]
         assert chain == accepted_variants(state, ctx)
         assert cands[len(chain):] in ([], [SymbolizedTx("F")])
@@ -294,7 +298,7 @@ def test_summaries_refreshed_for_touched_senders_are_exact(family, m, fill,
         cands = enumerate_mutations(state, ctx)
         if not cands:
             break
-        cand = cands[pick % len(cands)]
+        cand, _ = cands[pick % len(cands)]
         tx = concretize(cand, state, ctx, ranked_senders(state))
         open_marks.append((state.mark(), PoolSummary(state),
                            sender_view(state), ctx))
