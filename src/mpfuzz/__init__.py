@@ -2,10 +2,10 @@
 replay for asymmetric denial-of-mempool-service analysis."""
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
-                      WorldState, adversarial, benign, classify)
+                      WorldState, adversarial, benign)
 from .mempool import (AdmissionOutcome, DeclineReason, EvictionRule,
                       MempoolPolicy, MempoolState, TurningRule,
-                      VULNERABILITY_MATRIX, admit, build_block, fill_normal,
+                      VULNERABILITY_MATRIX, build_block, fill_normal,
                       new_pool, policy_preset, PRESET_FAMILIES)
 from .symbolic import (InfeasibleSymbol, InstantiationContext, SymbolizedTx,
                        SymbolizedState, cost, enumerate_mutations,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -56,12 +55,8 @@ def run_baseline(kind: str, policy: MempoolPolicy,
         return _run_concrete(kind, policy, cfg, budget_mutations, rng_seed,
                              CHILDREN_PER_SEED[kind])
     if kind == "B4":
-        res = run_fuzzer(policy, cfg, budget_mutations=budget_mutations,
-                         budget_seconds=math.inf, rng_seed=rng_seed,
-                         promising=False, modes=("eviction",),
-                         stop_on_first=True)
-        return BaselineResult("B4", res.first_exploit_mutations is not None,
-                              res.first_exploit_mutations, res.mutations)
+        return _run_symbolized("B4", policy, cfg, budget_mutations, rng_seed,
+                               promising=False)
     raise ValueError(f"unknown baseline: {kind}")
 
 
@@ -70,11 +65,20 @@ def run_reference(policy: MempoolPolicy,
                   budget_mutations: int = 2_000_000,
                   rng_seed: int = 0) -> BaselineResult:
     """The symbolized fuzzer itself, measured on the same metric."""
-    res = run_fuzzer(policy, cfg, budget_mutations=budget_mutations,
+    return _run_symbolized("mpfuzz", policy, cfg, budget_mutations, rng_seed,
+                           promising=True)
+
+
+def _run_symbolized(kind: str, policy: MempoolPolicy,
+                    cfg: Optional[OracleConfig], budget: int, rng_seed: int,
+                    promising: bool) -> BaselineResult:
+    """The symbolized fuzzer's eviction search, stopped at its first
+    exploit; `promising` turns its promisingness gate on or off."""
+    res = run_fuzzer(policy, cfg, budget_mutations=budget,
                      budget_seconds=math.inf, rng_seed=rng_seed,
-                     promising=True, modes=("eviction",),
+                     promising=promising, modes=("eviction",),
                      stop_on_first=True)
-    return BaselineResult("mpfuzz", res.first_exploit_mutations is not None,
+    return BaselineResult(kind, res.first_exploit_mutations is not None,
                           res.first_exploit_mutations, res.mutations)
 
 
@@ -131,8 +135,11 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
                   children: int) -> BaselineResult:
     """Append-one-transaction search over a concrete value grid.
 
-    Coverage is a canonical hash of the resident set.  B2 pops seeds in
-    FIFO order; B3 pops the seed with the most invalid residents first.
+    Coverage is a canonical hash of the resident set.  The frontier is
+    one heap on (priority, mutations at push, state): B2's priority is 0,
+    which makes it FIFO; B3's is minus the count of invalid residents.
+    No two pushes share a mutation count, so no two states are compared.
+    An empty frontier restarts the search at the root with fresh draws.
 
     Each child is admitted into its parent's pool under a mark and rolled
     back; only a child new to coverage is copied.  A declined child is
@@ -146,33 +153,9 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
     st0 = fill_normal(root, m)
     covered = {_state_hash(root)}
     mutations = 0
-    order = 0
-    if kind == "B2":
-        queue = deque()
-
-        def push(st):
-            queue.append(st)
-
-        def pop():
-            return queue.popleft() if queue else None
-    else:
-        heap: List[Tuple[int, int, MempoolState]] = []
-
-        def push(st):
-            nonlocal order
-            heapq.heappush(heap, (-_invalid_count(st), order, st))
-            order += 1
-
-        def pop():
-            return heapq.heappop(heap)[2] if heap else None
-
-    push(root)
+    frontier: List[Tuple[int, int, MempoolState]] = []
     while mutations < budget:
-        current = pop()
-        if current is None:
-            # Exhausted frontier: restart from the root with fresh draws.
-            push(root)
-            continue
+        current = heapq.heappop(frontier)[2] if frontier else root
         for _ in range(children):
             if mutations >= budget:
                 break
@@ -191,6 +174,9 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
             h = _state_hash(current)
             if h not in covered:
                 covered.add(h)
-                push(current.clone())
+                child = current.clone()
+                heapq.heappush(frontier, (
+                    -_invalid_count(child) if kind == "B3" else 0,
+                    mutations, child))
             current.rollback(mark)
     return BaselineResult(kind, False, None, mutations)

@@ -233,13 +233,16 @@ def cmd_compare(preset, baselines, repeats, budget_mutations, epsilon,
     for k in kinds:
         if k not in BASELINE_KINDS:
             raise click.UsageError(f"unknown baseline {k}")
+    # mpfuzz and B4 make no random choice, so each runs once and its row
+    # repeats under every rng_seed.
+    fixed = {"mpfuzz": run_reference(policy, cfg, budget_mutations)}
+    if "B4" in kinds:
+        fixed["B4"] = run_baseline("B4", policy, cfg, budget_mutations)
     rows = []
     for rng_seed in range(repeats):
-        ref = run_reference(policy, cfg, budget_mutations, rng_seed)
-        rows.append(["mpfuzz", policy.name, policy.capacity, rng_seed,
-                     ref.mutations_to_first, ref.found])
-        for k in kinds:
-            res = run_baseline(k, policy, cfg, budget_mutations, rng_seed)
+        for k in ["mpfuzz"] + kinds:
+            res = fixed[k] if k in fixed else \
+                run_baseline(k, policy, cfg, budget_mutations, rng_seed)
             rows.append([k, policy.name, policy.capacity, rng_seed,
                          res.mutations_to_first, res.found])
     with open(out_path, "w", newline="") as f:

@@ -9,11 +9,12 @@ locking pass starting from an empty one with benign probes appended to
 every candidate timeline.
 
 Selection is a lazy min-heap on (opcost, insertion order).  This picks
-the seed of highest energy, earliest added on a tie, as a scan of
-``Seed.energy()`` would: a seed's opcost never changes, the least opcost
-is the greatest energy (opcost 0 has energy inf and sorts first), and a
-seed only leaves the ranking once its candidates, tried strictly in
-order, run out.  A seed never regains an untried candidate, so exhausted
+the seed of highest energy, earliest added on a tie, as a scan of the
+energies would (``energy`` in ``tests/test_fuzzer.py`` is that scan's
+ranking): a seed's opcost never changes, the least opcost is the
+greatest energy (opcost 0 has energy inf and sorts first), and a seed
+only leaves the ranking once its candidates, tried strictly in order,
+run out.  A seed never regains an untried candidate, so exhausted
 seeds are dropped only when they reach the top.  Each seed carries the
 concrete transactions that built its state, so an exploit's transactions
 are its seed's plus the last one, without re-executing its input.
@@ -92,7 +93,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,16 +127,6 @@ class Seed:
 
     def exhausted(self) -> bool:
         return self.next_candidate >= len(self.candidates)
-
-    def energy(self):
-        """Scheduling energy b/opcost (b = 1), 0 once exhausted: the ranking
-        that ``Corpus.select`` reproduces with its heap."""
-        if self.exhausted():
-            return Fraction(0)
-        oc = opcost(self.sym_state)
-        if oc == 0:
-            return math.inf
-        return Fraction(1, oc)
 
 
 class Corpus:

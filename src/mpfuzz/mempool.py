@@ -146,10 +146,7 @@ class Mark(NamedTuple):
 
 
 class MempoolState:
-    """Mutable pool representation.
-
-    The module-level `admit` keeps the documented pure-transition contract;
-    `admit_mut` is the in-place variant used on hot paths.
+    """Mutable pool representation; `admit_mut` admits in place.
 
     `entries` and `by_sender` hold the slots.  Beside them the pool keeps
     indexes so that a full-pool admission never scans the pool: it costs
@@ -311,9 +308,6 @@ class MempoolState:
     def txs(self) -> List[Transaction]:
         return [e.tx for e in self.entries.values()]
 
-    def resident(self, sender: Address) -> List[Transaction]:
-        return [e.tx for e in self.by_sender.get(sender, {}).values()]
-
     def sender_chain_entries(self, sender: Address) -> List[PoolEntry]:
         """Gap-free run of non-future entries starting at confirmed+1."""
         group = self.by_sender.get(sender)
@@ -436,9 +430,11 @@ class MempoolState:
 
     def _classify(self, tx: Transaction
                   ) -> Tuple[ValidityClass, Optional[ChainState]]:
-        """`txmodel.classify` of `tx` against its sender's residents, read
+        """The validity class of `tx` against its sender's residents, read
         from the entries and the sender's `ChainState`, which it also
-        returns unless the arrival is a replacement."""
+        returns unless the arrival is a replacement.  `classify` in
+        `tests/test_mempool.py` is the plain reference: it walks the
+        sender's resident list."""
         if (tx.sender, tx.nonce) in self.entries:
             return ValidityClass.REPLACEMENT, None
         chain = self._chain_state(tx.sender)
@@ -729,15 +725,6 @@ def new_pool(policy: MempoolPolicy,
     if world is None:
         world = WorldState(default_balance=policy.capacity)
     return MempoolState(policy, world)
-
-
-def admit(state: MempoolState,
-          tx: Transaction) -> Tuple[MempoolState, AdmissionOutcome]:
-    """Pure admission transition: returns the successor state and the
-    outcome, leaving `state` unchanged."""
-    nxt = state.clone()
-    outcome = nxt.admit_mut(tx)
-    return nxt, outcome
 
 
 def fill_normal(state: MempoolState, count: int) -> List[Transaction]:

@@ -51,14 +51,15 @@ class OracleConfig:
         return {"epsilon": str(self.epsilon), "lambda": str(self.lam)}
 
 
-def format_ratio(r: Fraction, places: int = 12) -> str:
-    """Decimal rendering without float round-trip error."""
+def format_ratio(r: Fraction) -> str:
+    """Decimal rendering, at most 12 fractional digits, without float
+    round-trip error."""
     sign = "-" if r < 0 else ""
     r = abs(r)
     whole = r.numerator // r.denominator
     rem = r.numerator - whole * r.denominator
     digits = []
-    for _ in range(places):
+    for _ in range(12):
         rem *= 10
         d = rem // r.denominator
         digits.append(str(d))

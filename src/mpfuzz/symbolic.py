@@ -246,23 +246,16 @@ def opcost(st: SymbolizedState) -> int:
 
 @dataclass
 class InstantiationContext:
-    """Replayable counters that make symbol instantiation deterministic.
-
-    `benign_offset` / `adv_offset` relabel fresh sender indices without
-    changing any price or value; symbol-level behavior is index-blind.
-    """
+    """Replayable counters that make symbol instantiation deterministic."""
 
     capacity: int
     benign_next: int = 1
     adv_next: int = 1
     p_count: int = 0
-    benign_offset: int = 0
-    adv_offset: int = 0
 
     def copy(self) -> "InstantiationContext":
         return InstantiationContext(self.capacity, self.benign_next,
-                                    self.adv_next, self.p_count,
-                                    self.benign_offset, self.adv_offset)
+                                    self.adv_next, self.p_count)
 
     def advance(self, symtx: SymbolizedTx) -> None:
         """Move the counters past an instantiation of `symtx`: N takes a
@@ -313,17 +306,15 @@ def concretize(symtx: SymbolizedTx, state: MempoolState,
     m = ctx.capacity
     sym = symtx.symbol
     if sym == "N":
-        return Transaction(benign(ctx.benign_next + ctx.benign_offset), 1,
-                           NORMAL_VALUE, NORMAL_PRICE)
+        return Transaction(benign(ctx.benign_next), 1, NORMAL_VALUE,
+                           NORMAL_PRICE)
     if sym == "F":
-        return Transaction(adversarial(ctx.adv_next + ctx.adv_offset), m + 1,
-                           1, m + 4)
+        return Transaction(adversarial(ctx.adv_next), m + 1, 1, m + 4)
     if sym == "P":
         price = 4 + ctx.p_count
         if price > m + 3:
             return None
-        return Transaction(adversarial(ctx.adv_next + ctx.adv_offset), 1, 1,
-                           price)
+        return Transaction(adversarial(ctx.adv_next), 1, 1, price)
     rank = symtx.variant or 1
     if not 1 <= rank <= len(ranked):
         return None
@@ -409,8 +400,7 @@ def enumerate_mutations(state: MempoolState, ctx: InstantiationContext
 
 
 def execute_input(policy: MempoolPolicy, seq: Sequence[SymbolizedTx],
-                  fill_count: int = 0,
-                  benign_offset: int = 0, adv_offset: int = 0):
+                  fill_count: int = 0):
     """Instantiate and admit a symbol sequence against a fresh pool.
 
     Returns (state, ctx, txs, outcomes).  The pool is pre-filled with
@@ -419,9 +409,7 @@ def execute_input(policy: MempoolPolicy, seq: Sequence[SymbolizedTx],
     state = new_pool(policy)
     fill_normal(state, fill_count)
     ctx = InstantiationContext(capacity=policy.capacity,
-                               benign_next=fill_count + 1,
-                               benign_offset=benign_offset,
-                               adv_offset=adv_offset)
+                               benign_next=fill_count + 1)
     txs: List[Transaction] = []
     outcomes = []
     for symtx in seq:

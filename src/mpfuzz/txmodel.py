@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict
 
 GAS_PER_TX = 21000
 
@@ -143,39 +143,3 @@ class WorldState:
                       for a, s in self.accounts.items()}
         return w
 
-
-def consecutive_chain(resident_nonces: Iterable[int], confirmed: int) -> int:
-    """Length of the gap-free run of resident nonces starting at confirmed+1."""
-    nonces = set(resident_nonces)
-    length = 0
-    n = confirmed + 1
-    while n in nonces:
-        length += 1
-        n += 1
-    return length
-
-
-def classify(tx: Transaction, world: WorldState,
-             resident: List[Transaction]) -> ValidityClass:
-    """Classify an arriving transaction against the sender's resident set.
-
-    `resident` holds the sender's transactions currently in the pool.
-    Precedence on overlap: Replacement > Future > Overdraft > LatentOverdraft
-    > Pending.  Balance checks cover transferred value only.
-    """
-    confirmed = world.confirmed_nonce(tx.sender)
-    balance = world.balance(tx.sender)
-    nonces = [t.nonce for t in resident]
-    if tx.nonce in nonces:
-        return ValidityClass.REPLACEMENT
-    chain_len = consecutive_chain(nonces, confirmed)
-    if tx.nonce > confirmed + chain_len + 1:
-        return ValidityClass.FUTURE
-    if tx.value > balance:
-        return ValidityClass.OVERDRAFT
-    ancestors = sum(t.value for t in resident
-                    if confirmed < t.nonce < tx.nonce
-                    and t.nonce <= confirmed + chain_len)
-    if tx.value + ancestors > balance:
-        return ValidityClass.LATENT_OVERDRAFT
-    return ValidityClass.PENDING

@@ -35,6 +35,7 @@ from mpfuzz.fuzzer import Seed, run_fuzzer
 from mpfuzz.mempool import PRESET_FAMILIES, policy_preset
 from mpfuzz.oracle import OracleConfig, classify_tp_fp
 from mpfuzz.symbolic import execute_input, parse_input, symbolize_state
+from test_fuzzer import energy
 
 
 def seq_text(exploit):
@@ -83,7 +84,7 @@ def test_criterion2_costs_and_energies():
         assert opcost(sym) == expected_opcost[key]
         seed = Seed(input=seq, sym_state=sym, concrete=state, ctx=ctx,
                     order=0, candidates=("pending",) if key != "NNN" else ())
-        assert seed.energy() == expected_energy[key]
+        assert energy(seed) == expected_energy[key]
 
 
 # -- 3: both exploit families on the 6-slot legacy target ------------------

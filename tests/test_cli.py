@@ -1,11 +1,14 @@
 """Command-line interface, via click's test runner."""
 
+import csv
 import json
 import os
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+import mpfuzz.cli as cli
 from mpfuzz.cli import main
 from mpfuzz.fuzzer import run_fuzzer
 from mpfuzz.mempool import policy_preset
@@ -156,6 +159,33 @@ def test_compare_writes_csv(tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0].startswith("baseline,")
     assert len(lines) == 4  # header + mpfuzz + B3 + B4
+
+
+def test_compare_runs_the_deterministic_searches_once(tmp_path,
+                                                       monkeypatch):
+    calls = Counter()
+    run_reference, run_baseline = cli.run_reference, cli.run_baseline
+
+    def counted_reference(*args):
+        calls["mpfuzz"] += 1
+        return run_reference(*args)
+
+    def counted_baseline(kind, *args):
+        calls[kind] += 1
+        return run_baseline(kind, *args)
+
+    monkeypatch.setattr(cli, "run_reference", counted_reference)
+    monkeypatch.setattr(cli, "run_baseline", counted_baseline)
+    out = str(tmp_path / "compare.csv")
+    res = run_cli("compare", "--preset", "geth-legacy-reduced(6)",
+                  "--baselines", "B3,B4", "--repeats", "3",
+                  "--budget-mutations", "5000", "--out", out)
+    assert res.exit_code == 0
+    assert calls == {"mpfuzz": 1, "B4": 1, "B3": 3}
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert [(r[0], r[3]) for r in rows] == [
+        (k, str(seed)) for seed in range(3) for k in ("mpfuzz", "B3", "B4")]
 
 
 def test_compare_prints_speedup_ratios(tmp_path):

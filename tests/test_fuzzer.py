@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -14,7 +16,7 @@ from mpfuzz.mempool import (PRESET_FAMILIES, fill_normal, new_pool,
 from mpfuzz.oracle import (OracleConfig, chargeable_fees, check_eviction,
                            check_locking)
 from mpfuzz.symbolic import (SymbolizedState, SymbolizedTx, execute_input,
-                             parse_input, symbolize_state)
+                             opcost, parse_input, symbolize_state)
 
 PRESET3 = "geth-1.11-reduced(3,1,2,2)"
 
@@ -35,14 +37,13 @@ def test_corpus_rejects_duplicate_state_keys():
 
 
 def test_energy_is_inverse_opcost_and_zero_when_exhausted():
-    from fractions import Fraction
     s = make_seed("P")
     s.candidates = ("x",)
     s.next_candidate = 1  # nothing left untried
-    assert s.energy() == 0
+    assert energy(s) == 0
     s2 = make_seed("P")
     s2.candidates = ("x",)
-    assert s2.energy() == Fraction(1, 10)
+    assert energy(s2) == Fraction(1, 10)
 
 
 def test_selection_prefers_max_energy_then_insertion_order():
@@ -56,12 +57,23 @@ def test_selection_prefers_max_energy_then_insertion_order():
     assert c.select() is b
 
 
+def energy(seed):
+    """Scheduling energy b/opcost (b = 1), 0 once exhausted: the ranking
+    that ``Corpus.select`` reproduces with its heap."""
+    if seed.exhausted():
+        return Fraction(0)
+    oc = opcost(seed.sym_state)
+    if oc == 0:
+        return math.inf
+    return Fraction(1, oc)
+
+
 def scan_select(seeds):
     """Reference selection: a linear scan for the highest energy, lowest
     order on a tie, skipping exhausted seeds (energy 0)."""
     best, best_rank = None, None
     for s in seeds:
-        e = s.energy()
+        e = energy(s)
         if e == 0:
             continue
         rank = (e, -s.order)

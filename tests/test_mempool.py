@@ -4,6 +4,7 @@ import io
 import json
 import re
 from dataclasses import replace
+from typing import Iterable, List
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,11 +15,11 @@ from mpfuzz.fuzzer import run_fuzzer
 from mpfuzz.mempool import (NORMAL_PRICE, NORMAL_VALUE, PRESET_FAMILIES,
                             DeclineReason, EvictionRule, MempoolPolicy,
                             MempoolState, TurningRule, VULNERABILITY_MATRIX,
-                            admit, build_block, fill_normal, new_pool,
+                            build_block, fill_normal, new_pool,
                             policy_preset)
 from mpfuzz.oracle import OracleConfig
-from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, adversarial,
-                            benign, classify, consecutive_chain)
+from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, ValidityClass,
+                            WorldState, adversarial, benign)
 from test_properties import BIG
 
 
@@ -37,7 +38,7 @@ def test_fill_normal_fills_pending():
 
 def test_eviction_requires_strictly_higher_price():
     state = full_legacy()
-    nxt, out = admit(state, Transaction(adversarial(1), 1, 1, 3))
+    out = state.clone().admit_mut(Transaction(adversarial(1), 1, 1, 3))
     assert not out.admitted and out.reason is DeclineReason.FULL_NO_VICTIM
     out2 = state.admit_mut(Transaction(adversarial(1), 1, 1, 4))
     assert out2.admitted
@@ -64,8 +65,8 @@ def test_replacement_same_nonce_higher_price():
     assert state.admit_mut(Transaction(s, 1, 1, 4)).admitted
     assert not state.admit_mut(Transaction(s, 1, 1, 4)).admitted
     assert state.admit_mut(Transaction(s, 1, 1, 9)).admitted
-    assert len(state.resident(s)) == 1
-    assert state.resident(s)[0].gas_price == 9
+    assert len(state.by_sender[s]) == 1
+    assert state.by_sender[s][1].tx.gas_price == 9
 
 
 def test_overdraft_declined_on_arrival():
@@ -356,10 +357,52 @@ def scan_victim(state, tx):
     return None
 
 
+def consecutive_chain(resident_nonces: Iterable[int], confirmed: int) -> int:
+    """Length of the gap-free run of resident nonces starting at confirmed+1."""
+    nonces = set(resident_nonces)
+    length = 0
+    n = confirmed + 1
+    while n in nonces:
+        length += 1
+        n += 1
+    return length
+
+
+def classify(tx: Transaction, world: WorldState,
+             resident: List[Transaction]) -> ValidityClass:
+    """Classify an arriving transaction against the sender's resident set.
+
+    `resident` holds the sender's transactions currently in the pool.
+    Precedence on overlap: Replacement > Future > Overdraft > LatentOverdraft
+    > Pending.  Balance checks cover transferred value only.
+    """
+    confirmed = world.confirmed_nonce(tx.sender)
+    balance = world.balance(tx.sender)
+    nonces = [t.nonce for t in resident]
+    if tx.nonce in nonces:
+        return ValidityClass.REPLACEMENT
+    chain_len = consecutive_chain(nonces, confirmed)
+    if tx.nonce > confirmed + chain_len + 1:
+        return ValidityClass.FUTURE
+    if tx.value > balance:
+        return ValidityClass.OVERDRAFT
+    ancestors = sum(t.value for t in resident
+                    if confirmed < t.nonce < tx.nonce
+                    and t.nonce <= confirmed + chain_len)
+    if tx.value + ancestors > balance:
+        return ValidityClass.LATENT_OVERDRAFT
+    return ValidityClass.PENDING
+
+
+def residents(state, sender):
+    """The sender's transactions in the pool."""
+    return [e.tx for e in state.by_sender.get(sender, {}).values()]
+
+
 def walk_chain(state, sender):
     """A sender's chain state from its resident list, walked afresh."""
     confirmed = state.world.confirmed_nonce(sender)
-    resident = state.resident(sender)
+    resident = residents(state, sender)
     run = consecutive_chain([t.nonce for t in resident], confirmed)
     value = sum(t.value for t in resident
                 if confirmed < t.nonce <= confirmed + run)
@@ -383,7 +426,7 @@ def check_indexes(state, tx):
     for sender, cached in state._chain.items():
         assert cached == walk_chain(state, sender), sender
     assert state._classify(tx)[0] is classify(tx, state.world,
-                                              state.resident(tx.sender))
+                                              residents(state, tx.sender))
     assert state._chain_state(tx.sender) == walk_chain(state, tx.sender)
     for probe in victim_queries(tx):
         assert state._select_victim(probe) is scan_victim(state, probe)

@@ -5,12 +5,12 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpfuzz.fuzzer import run_fuzzer
-from mpfuzz.mempool import (MempoolState, WorldState, new_pool,
+from mpfuzz.mempool import (MempoolState, WorldState, fill_normal, new_pool,
                             policy_preset)
 from mpfuzz.oracle import OracleConfig, asym_E
 from mpfuzz.symbolic import (cost, enumerate_mutations, execute_input,
                              instantiate, opcost, symbolize_state)
-from mpfuzz.txmodel import Transaction, adversarial, benign
+from mpfuzz.txmodel import Role, Transaction, adversarial, benign
 
 BIG = settings(max_examples=1000, deadline=None,
                suppress_health_check=[HealthCheck.too_slow,
@@ -29,7 +29,6 @@ SMALL_PRESETS = (
 def drive(policy, choices, fill=True):
     """Map integer draws onto always-feasible symbol mutations."""
     state = new_pool(policy)
-    from mpfuzz.mempool import fill_normal
     from mpfuzz.symbolic import InstantiationContext
     count = policy.capacity if fill else 0
     fill_normal(state, count)
@@ -49,6 +48,26 @@ def drive(policy, choices, fill=True):
 
 # -- suite 1: abstraction is insensitive to concrete identities ------------
 
+def relabel(txs, fill, boff, aoff):
+    """`txs` with each benign sender above the first `fill` moved up by
+    `boff` and every adversarial sender by `aoff`; nonces, values and
+    prices stay."""
+    def move(sender):
+        if sender.role is Role.ADVERSARIAL:
+            return adversarial(sender.index + aoff)
+        return benign(sender.index + boff) if sender.index > fill else sender
+    return [Transaction(move(tx.sender), tx.nonce, tx.value, tx.gas_price)
+            for tx in txs]
+
+
+def admit_all(policy, txs, fill):
+    """Admit `txs` into a fresh pool after `fill` benign residents; returns
+    the pool and the outcomes."""
+    state = new_pool(policy)
+    fill_normal(state, fill)
+    return state, [state.admit_mut(tx) for tx in txs]
+
+
 @BIG
 @given(preset=st.sampled_from(SMALL_PRESETS),
        choices=st.lists(st.integers(0, 11), max_size=6),
@@ -56,9 +75,9 @@ def drive(policy, choices, fill=True):
 def test_symbolization_ignores_identity_offsets(preset, choices, boff, aoff):
     pol = policy_preset(preset)
     seq, base_state = drive(pol, choices)
-    s1, _, _, o1 = execute_input(pol, seq, pol.capacity)
-    s2, _, _, o2 = execute_input(pol, seq, pol.capacity,
-                                 benign_offset=boff, adv_offset=aoff)
+    s1, _, txs, o1 = execute_input(pol, seq, pol.capacity)
+    s2, o2 = admit_all(pol, relabel(txs, pol.capacity, boff, aoff),
+                       pol.capacity)
     assert symbolize_state(s1).key() == symbolize_state(s2).key() \
         == symbolize_state(base_state).key()
     assert [o.kind for o in o1] == [o.kind for o in o2]
@@ -82,7 +101,6 @@ tx_strategy = st.builds(
 def test_admission_trichotomy_and_capacity(preset, txs, prefill):
     pol = policy_preset(preset)
     state = new_pool(pol)
-    from mpfuzz.mempool import fill_normal
     fill_normal(state, prefill)
     for tx in txs:
         slots = state.to_json()["slots"]

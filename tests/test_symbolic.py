@@ -13,7 +13,7 @@ from mpfuzz.symbolic import (InfeasibleSymbol, InstantiationContext,
                              ranked_senders, serialize_input,
                              summarize_sender, symbolize_state)
 from mpfuzz.txmodel import Role, Transaction, adversarial
-from test_properties import BIG
+from test_properties import BIG, admit_all, relabel
 
 
 def plain_symbolize_state(state):
@@ -177,8 +177,8 @@ def test_execute_input_returns_outcomes():
 def test_offsets_do_not_change_symbolization():
     pol = policy_preset("geth-legacy-reduced(6)")
     seq = parse_input("P P0 C1 F")
-    s1, _, _, o1 = execute_input(pol, seq, 6, benign_offset=0, adv_offset=0)
-    s2, _, _, o2 = execute_input(pol, seq, 6, benign_offset=40, adv_offset=7)
+    s1, _, txs, o1 = execute_input(pol, seq, 6)
+    s2, o2 = admit_all(pol, relabel(txs, 6, 40, 7), 6)
     assert symbolize_state(s1).key() == symbolize_state(s2).key()
     assert [o.kind for o in o1] == [o.kind for o in o2]
 

@@ -1,8 +1,8 @@
 """Transaction model: addresses, validity classes, chains."""
 
 from mpfuzz.txmodel import (GAS_PER_TX, Address, Role, Transaction,
-                            ValidityClass, WorldState, adversarial, benign,
-                            classify, consecutive_chain)
+                            ValidityClass, WorldState, adversarial, benign)
+from test_mempool import classify, consecutive_chain
 
 
 def test_address_roles_and_short():
