@@ -190,9 +190,8 @@ def cmd_replay(exploit_file, preset, blocks, txs_per_block, out_path):
     """Replay an exploit file against a workload and report damage."""
     ex = Exploit.load(exploit_file)
     policy = _resolve_policy(preset, {})
-    workload = WorkloadSpec(txs_per_block=txs_per_block,
-                            block_tx_capacity=txs_per_block)
-    report = replay(ex.concrete_txs, policy, workload, blocks)
+    report = replay(ex.concrete_txs, policy,
+                    WorkloadSpec(txs_per_block=txs_per_block), blocks)
     _write_json(out_path, report.to_json())
     click.echo(f"success_rate={report.success_rate:.4f} "
                f"cost/block={report.cost_per_block:.1f}")

@@ -27,7 +27,10 @@ and ``states_covered`` counts judged states, kept or not.
 
 Each mutation is admitted into its seed's own pool under a mark
 (``MempoolState.mark``), judged there and rolled back; only a state
-kept as a seed is copied.  Two kinds of decline and repeated
+kept as a seed is copied.  The pool journals only its entry inserts,
+removes and flips; the mark copies the counters, the victim heaps and
+the account keys, and the rollback drops the cached chain state of each
+sender whose entries it restores.  Two kinds of decline and repeated
 transactions are not judged again, and the three shortcuts leave every
 output as full judging would:
 
@@ -65,10 +68,11 @@ seed's loop ends.  Each admitted mutation is then judged from the
 summaries, and each step equals the whole-pool one:
 
 - Only the senders named in the undo log since the mutation's mark
-  (``MempoolState.touched_since``) are summarized again.  A summary reads
-  only its sender's entries and world account; every entry insert,
-  remove or flip is journaled under a mark, and the world does not
-  change under one (``build_block`` refuses to run there).
+  (``MempoolState.touched_since``), those with an entry inserted,
+  removed or flipped, are summarized again.  A summary reads only its
+  sender's entries and world account; every entry change is journaled
+  under a mark, and the world does not change under one
+  (``build_block`` refuses to run there).
 - Coverage is decided on the state key, built from the summaries' slot
   counts and symbol groups.  The full ``SymbolizedState``, a merge of
   every summary, is built only for a key not yet covered: only the gate

@@ -13,7 +13,7 @@ import enum
 import heapq
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
@@ -117,8 +117,6 @@ class PoolEntry:
 class AdmissionOutcome:
     kind: str  # Admitted | AdmittedReplacing | AdmittedEvicting | Declined
     reason: Optional[DeclineReason] = None
-    evicted: List[Transaction] = field(default_factory=list)
-    replaced: Optional[Transaction] = None
 
     @property
     def admitted(self) -> bool:
@@ -130,19 +128,21 @@ class AdmissionOutcome:
 # futures included; the pending prefix is its leading non-future part.
 ChainState = Tuple[int, int, int, int]
 
-# Undo records of the journal: (kind, entry) for the first three kinds,
-# (kind, table, sender, old value or None) for a write to a table.
-_UNDO_INSERT, _UNDO_REMOVE, _UNDO_FLIP, _UNDO_WRITE = range(4)
+# Undo records of the journal, each (kind, entry).
+_UNDO_INSERT, _UNDO_REMOVE, _UNDO_FLIP = range(3)
 
 
 class Mark(NamedTuple):
-    """A point that `MempoolState.rollback` returns the pool to."""
+    """A point that `MempoolState.rollback` returns the pool to: the
+    length of the undo log, the counters, and copies of the victim heaps
+    and of `_acct_key`."""
     undo_len: int
     seq: int
     future_count: int
     benign_auto: int
     declined_len: int
     heaps: Tuple[list, list, list, list]
+    acct_key: Dict[Address, Tuple[int, int]]
 
 
 class MempoolState:
@@ -179,13 +179,15 @@ class MempoolState:
 
     `mark()` opens a mark and `rollback(mark)` returns the pool to it;
     marks nest, and the innermost open one is rolled back first.  While a
-    mark is open the pool journals, in an undo log, every entry inserted
-    or removed, every `is_future` flip from turning, and the old value of
-    every `_chain` and `_acct_key` write, chain-cache fills included.  The
-    mark itself holds `seq`, `future_count`, `_benign_auto`, the length of
-    `declined` and a copy of each victim heap.  That covers all an
-    admission writes; `build_block`, which also writes the world, refuses
-    to run under a mark.
+    mark is open the pool journals only its entries: an undo log records
+    every entry inserted or removed and every `is_future` flip from
+    turning.  The mark itself holds `seq`, `future_count`, `_benign_auto`,
+    the length of `declined`, and a copy of each victim heap and of
+    `_acct_key`.  `_chain` is neither journaled nor copied: it is a cache,
+    so a rollback drops the cached state of every sender whose entries it
+    restores, and keeps the rest, whose entries are as they were.  That
+    covers all an admission writes; `build_block`, which also writes the
+    world, refuses to run under a mark.
     """
 
     def __init__(self, policy: MempoolPolicy, world: WorldState):
@@ -235,7 +237,8 @@ class MempoolState:
         mark = Mark(len(self._undo), self.seq, self.future_count,
                     self._benign_auto, len(self.declined),
                     (self._heap_pending.copy(), self._heap_future.copy(),
-                     self._heap_childless.copy(), self._heap_acct.copy()))
+                     self._heap_childless.copy(), self._heap_acct.copy()),
+                    self._acct_key.copy())
         self._marks.append(mark)
         return mark
 
@@ -247,19 +250,11 @@ class MempoolState:
                              "open one")
         self._marks.pop()
         undo = self._undo
-        entries, by_sender = self.entries, self.by_sender
+        entries, by_sender, chain = self.entries, self.by_sender, self._chain
         while len(undo) > mark.undo_len:
-            rec = undo.pop()
-            kind = rec[0]
-            if kind == _UNDO_WRITE:
-                _, table, sender, old = rec
-                if old is None:
-                    del table[sender]
-                else:
-                    table[sender] = old
-                continue
-            e = rec[1]
+            kind, e = undo.pop()
             sender, nonce = e.tx.sender, e.tx.nonce
+            chain.pop(sender, None)
             if kind == _UNDO_FLIP:
                 e.is_future = not e.is_future
             elif kind == _UNDO_INSERT:
@@ -277,26 +272,15 @@ class MempoolState:
         del self.declined[mark.declined_len:]
         (self._heap_pending, self._heap_future, self._heap_childless,
          self._heap_acct) = mark.heaps
+        self._acct_key = mark.acct_key
         if not self._marks:
             self._undo = None
 
     def touched_since(self, mark: Mark) -> Set[Address]:
         """The senders named in the undo log since `mark`, an open mark:
-        every sender with an entry inserted, removed or flipped since,
-        and every sender whose `_chain` or `_acct_key` was written.  The
-        entries of any other sender are as they were at the mark."""
-        return {rec[2] if rec[0] == _UNDO_WRITE else rec[1].tx.sender
-                for rec in self._undo[mark.undo_len:]}
-
-    def _write(self, table: dict, sender: Address, value) -> None:
-        """Set `table[sender]`, or delete it for None, journaled; `table`
-        is `_chain` or `_acct_key`."""
-        if self._undo is not None:
-            self._undo.append((_UNDO_WRITE, table, sender, table.get(sender)))
-        if value is None:
-            del table[sender]
-        else:
-            table[sender] = value
+        every sender with an entry inserted, removed or flipped since.
+        The entries of any other sender are as they were at the mark."""
+        return {e.tx.sender for _, e in self._undo[mark.undo_len:]}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -341,7 +325,7 @@ class MempoolState:
         run = n - confirmed - 1
         state = (confirmed, run, value, run if prefix < 0 else prefix)
         if group:
-            self._write(self._chain, sender, state)
+            self._chain[sender] = state
         return state
 
     def _insert(self, tx: Transaction, is_future: bool,
@@ -362,12 +346,12 @@ class MempoolState:
             if nonce == confirmed + run + 1:
                 if nonce + 1 in group:
                     # The arrival closes a gap: the run now reaches past it.
-                    self._write(self._chain, sender, None)
+                    del self._chain[sender]
                 else:
-                    self._write(self._chain, sender, (
+                    self._chain[sender] = (
                         confirmed, run + 1, value + tx.value,
                         prefix + 1 if prefix == run and not is_future
-                        else prefix))
+                        else prefix)
         rule = self.policy.eviction_rule
         if rule is EvictionRule.PRICE_ANY:
             heapq.heappush(self._heap_future if is_future
@@ -383,7 +367,7 @@ class MempoolState:
             # entry or a lower price moves the pair.
             if key is None or price < key[0]:
                 key = (price, e.seq if key is None else key[1])
-                self._write(self._acct_key, sender, key)
+                self._acct_key[sender] = key
                 heapq.heappush(self._heap_acct, (key[0], key[1], sender))
         return e
 
@@ -403,11 +387,10 @@ class MempoolState:
         if chain is not None:
             confirmed, run, value, prefix = chain
             if not group or confirmed < nonce < confirmed + run:
-                self._write(self._chain, sender, None)
+                del self._chain[sender]
             elif run and nonce == confirmed + run:
-                self._write(self._chain, sender,
-                            (confirmed, run - 1, value - tx.value,
-                             min(prefix, run - 1)))
+                self._chain[sender] = (confirmed, run - 1, value - tx.value,
+                                       min(prefix, run - 1))
         rule = self.policy.eviction_rule
         if rule is EvictionRule.PRICE_CHILDLESS_ONLY:
             parent = group.get(nonce - 1)
@@ -418,12 +401,12 @@ class MempoolState:
         elif rule is EvictionRule.ACCOUNT_MIN_PRICE:
             key = self._acct_key[sender]
             if not group:
-                self._write(self._acct_key, sender, None)
+                del self._acct_key[sender]
             elif tx.gas_price == key[0] or e.seq == key[1]:
                 new = (min(x.tx.gas_price for x in group.values()),
                        min(x.seq for x in group.values()))
                 if new != key:
-                    self._write(self._acct_key, sender, new)
+                    self._acct_key[sender] = new
                     heapq.heappush(self._heap_acct, (new[0], new[1], sender))
 
     # -- admission -------------------------------------------------------
@@ -497,38 +480,33 @@ class MempoolState:
         if tx.value > self.world.balance(tx.sender):
             return self._decline(tx, DeclineReason.OVERDRAFT)
         if pol.replacement_overdraft_guard and \
-                self._replacement_turns_latent(tx, old):
+                self._replacement_turns_latent(tx):
             return self._decline(tx, DeclineReason.OVERDRAFT_GUARD)
         was_future = old.is_future
         self._remove(old)
         self._insert(tx, is_future=was_future, via_replacement=True)
         # Descendants turned latent by the new value stay resident; latency
         # is re-derived from values, so nothing structural changes here.
-        return AdmissionOutcome("AdmittedReplacing", replaced=old.tx)
+        return AdmissionOutcome("AdmittedReplacing")
 
-    def _replacement_turns_latent(self, tx: Transaction, old: PoolEntry) -> bool:
+    def _replacement_turns_latent(self, tx: Transaction) -> bool:
+        """Whether some member of the sender's pending chain, other than
+        the replaced slot, would overdraft with `tx` in that slot."""
         balance = self.world.balance(tx.sender)
-        group = self.by_sender.get(tx.sender, {})
+        group = self.by_sender[tx.sender]
         cum = 0
         n = self.world.confirmed_nonce(tx.sender) + 1
-        became = False
         while True:
             if n == tx.nonce:
                 val = tx.value
-                old_val = old.tx.value
             elif n in group and not group[n].is_future:
                 val = group[n].tx.value
-                old_val = val
-            else:
-                break
-            # Flag descendants that were fine before but overdraft now.
-            if n != tx.nonce:
                 if cum + val > balance:
-                    became = True
-                    break
+                    return True
+            else:
+                return False
             cum += val
             n += 1
-        return became
 
     def _admit_future(self, tx: Transaction) -> AdmissionOutcome:
         pol = self.policy
@@ -543,23 +521,16 @@ class MempoolState:
 
     def _admit_by_eviction(self, tx: Transaction,
                            arriving_future: bool) -> AdmissionOutcome:
-        pol = self.policy
-        if pol.eviction_rule is EvictionRule.NONE:
-            return self._decline(tx, DeclineReason.FULL_NO_VICTIM)
         victim = self._select_victim(tx)
         if victim is None:
             return self._decline(tx, DeclineReason.FULL_NO_VICTIM)
-        if pol.reversal_guard and tx.gas_price <= victim.tx.gas_price:
+        if self.policy.reversal_guard and tx.gas_price <= victim.tx.gas_price:
             return self._decline(tx, DeclineReason.REVERSAL_GUARD)
-        victim_tx = victim.tx
-        victim_future = victim.is_future
         self._remove(victim)
         self._insert(tx, is_future=arriving_future)
-        dropped: List[Transaction] = []
-        if not victim_future:
-            dropped = self._apply_turning(victim_tx.sender)
-        return AdmissionOutcome("AdmittedEvicting",
-                                evicted=[victim_tx] + dropped)
+        if not victim.is_future:
+            self._apply_turning(victim.tx.sender)
+        return AdmissionOutcome("AdmittedEvicting")
 
     def _heap_top(self, heap: List[Tuple[int, int, Address, int]],
                   want_future: bool) -> Optional[PoolEntry]:
@@ -631,11 +602,11 @@ class MempoolState:
             return group[max(group)]
         return None
 
-    def _apply_turning(self, sender: Address) -> List[Transaction]:
+    def _apply_turning(self, sender: Address) -> None:
         """Re-derive the sender's chain after a removal; handle orphans."""
         group = self.by_sender.get(sender)
         if not group:
-            return []
+            return
         confirmed = self.world.confirmed_nonce(sender)
         n = confirmed + 1
         while n in group and not group[n].is_future:
@@ -643,14 +614,10 @@ class MempoolState:
         orphans = sorted((e for e in group.values()
                           if not e.is_future and e.tx.nonce > n),
                          key=lambda e: e.tx.nonce)
-        if not orphans:
-            return []
-        dropped: List[Transaction] = []
         if self.policy.turning_rule is TurningRule.DROP_DESCENDANTS:
             for e in orphans:
-                dropped.append(e.tx)
                 self._remove(e)
-            return dropped
+            return
         # DemoteToFuture: demote in nonce order as quota admits, drop the rest.
         for e in orphans:
             if self.future_count < self.policy.future_quota:
@@ -663,9 +630,7 @@ class MempoolState:
                                    (e.tx.gas_price, e.seq, e.tx.sender,
                                     e.tx.nonce))
             else:
-                dropped.append(e.tx)
                 self._remove(e)
-        return dropped
 
     def _promote_reconnected(self, sender: Address) -> None:
         group = self.by_sender.get(sender)
@@ -720,11 +685,8 @@ class MempoolState:
 
 # -- module-level operations ---------------------------------------------
 
-def new_pool(policy: MempoolPolicy,
-             world: Optional[WorldState] = None) -> MempoolState:
-    if world is None:
-        world = WorldState(default_balance=policy.capacity)
-    return MempoolState(policy, world)
+def new_pool(policy: MempoolPolicy) -> MempoolState:
+    return MempoolState(policy, WorldState(default_balance=policy.capacity))
 
 
 def fill_normal(state: MempoolState, count: int) -> List[Transaction]:

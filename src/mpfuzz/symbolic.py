@@ -77,9 +77,6 @@ class SymbolizedState:
     def key(self) -> str:
         return "".join(s for s, _ in self.slots)
 
-    def serialize(self) -> str:
-        return " ".join(s for s, _ in self.slots)
-
     def count(self, symbol: str) -> int:
         return sum(1 for s, _ in self.slots if s == symbol)
 

@@ -242,7 +242,7 @@ def test_criterion7_extension_to_full_scale():
 
 def test_criterion8_deflate_then_lock():
     pol = policy_preset("reth-fifo-reduced(6)")
-    wl = WorkloadSpec(txs_per_block=6, block_tx_capacity=6)
+    wl = WorkloadSpec(txs_per_block=6)
     rep = simulate_xt8a(pol, wl, eviction_blocks=35, lock_price=1,
                         initial_base_price=100.0)
     assert rep.feasible

@@ -11,7 +11,11 @@ No linter ships with the project, so this walks syntax trees:
   exempt: the command group reaches them;
 - and it must be read in ``src/`` itself, unless it is one of the
   paper's library features in ``LIBRARY_FEATURES``.  A reference or
-  convenience that only tests read belongs in the tests.
+  convenience that only tests read belongs in the tests;
+- a field, method or enum member of a package class, dunders apart,
+  must be read as an attribute somewhere in ``src/``, ``tests/`` or
+  ``perfbench/``.  Attributes are matched by name alone, whatever
+  object they are read from.
 """
 
 import ast
@@ -132,3 +136,53 @@ def test_every_definition_is_read():
 def test_every_definition_is_read_by_the_package():
     assert [(mod, name) for mod, name in dead_names(MODULES, MODULES)
             if name not in LIBRARY_FEATURES] == []
+
+
+def members(tree):
+    """(class, name) of each field, method and enum member defined in the
+    body of a class in `tree`, dunders apart."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield cls.name, name
+
+
+def dead_members(modules, readers):
+    """(module, class, name) of each class member in `modules` that no
+    file of `readers` reads as an attribute."""
+    read = {node.attr for p in readers
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and
+            isinstance(node.ctx, ast.Load)}
+    return sorted((p.name, cls, name) for p in modules
+                  for cls, name in members(ast.parse(p.read_text()))
+                  if name not in read)
+
+
+def test_dead_member_checker_flags_an_unread_member(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import enum\n"
+                   "class Kind(enum.Enum):\n    A = 1\n    B = 2\n"
+                   "class Box:\n    size: int\n    spare: int = 0\n"
+                   "    def __init__(self):\n        self.spare = 1\n"
+                   "    def grow(self):\n        return self.size\n"
+                   "    def shrink(self):\n        pass\n"
+                   "print(Kind.A, Box().grow())\n")
+    assert dead_members([mod], [mod]) == [
+        ("mod.py", "Box", "shrink"), ("mod.py", "Box", "spare"),
+        ("mod.py", "Kind", "B")]
+
+
+def test_every_class_member_is_read():
+    assert dead_members(MODULES, READERS) == []

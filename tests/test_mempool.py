@@ -69,6 +69,27 @@ def test_replacement_same_nonce_higher_price():
     assert state.by_sender[s][1].tx.gas_price == 9
 
 
+@pytest.mark.parametrize("family,guarded", [("geth-1.11", True),
+                                            ("geth-legacy", False)])
+def test_overdraft_guard_declines_a_replacement_that_overdrafts_a_child(
+        family, guarded):
+    # A balance of 6 covers a replaced parent of value 5 and its child of
+    # value 1, but not a parent of value 6 and the child.
+    s = adversarial(1)
+    for value, overdrafts in ((6, True), (5, False)):
+        state = new_pool(policy_preset(f"{family}-reduced(6)"))
+        assert state.admit_mut(Transaction(s, 1, 1, 4)).admitted
+        assert state.admit_mut(Transaction(s, 2, 1, 10)).admitted
+        out = state.admit_mut(Transaction(s, 1, value, 11))
+        if guarded and overdrafts:
+            assert out.kind == "Declined"
+            assert out.reason is DeclineReason.OVERDRAFT_GUARD
+            assert state.by_sender[s][1].tx.value == 1
+        else:
+            assert out.kind == "AdmittedReplacing"
+            assert state.by_sender[s][1].tx.value == value
+
+
 def test_overdraft_declined_on_arrival():
     state = full_legacy()
     out = state.admit_mut(Transaction(adversarial(1), 1, 7, 10))
@@ -422,9 +443,14 @@ def victim_queries(tx):
                    for price in range(1, 11)]
 
 
-def check_indexes(state, tx):
+def check_chain_cache(state):
+    """Every cached chain state equals a fresh walk."""
     for sender, cached in state._chain.items():
         assert cached == walk_chain(state, sender), sender
+
+
+def check_indexes(state, tx):
+    check_chain_cache(state)
     assert state._classify(tx)[0] is classify(tx, state.world,
                                               residents(state, tx.sender))
     assert state._chain_state(tx.sender) == walk_chain(state, tx.sender)
@@ -435,9 +461,10 @@ def check_indexes(state, tx):
 HEAPS = ("_heap_pending", "_heap_future", "_heap_childless", "_heap_acct")
 
 
-def check_rolled_back(state, ref, chain, tx):
+def check_rolled_back(state, ref, tx):
     """`state`, just rolled back to a mark, against `ref`, a clone taken
-    at the mark, and `chain`, the chain cache then."""
+    at the mark; the chain cache, which a rollback trims rather than
+    restores, must hold only fresh walks."""
     assert state.canonical() == ref.canonical()
     assert {k: (e.seq, e.is_future, e.via_replacement)
             for k, e in state.entries.items()} == \
@@ -448,7 +475,7 @@ def check_rolled_back(state, ref, chain, tx):
     assert all(state.by_sender.values())
     assert (state.seq, state.future_count, state._benign_auto) == \
         (ref.seq, ref.future_count, ref._benign_auto)
-    assert state._chain == chain
+    check_chain_cache(state)
     assert state._acct_key == ref._acct_key
     for heap in HEAPS:
         assert getattr(state, heap) == getattr(ref, heap), heap
@@ -487,16 +514,16 @@ POOL_OPS = st.lists(st.one_of(
 def test_indexed_admission_equals_scans(family, m, ops):
     state = new_pool(policy_preset(f"{family}-reduced({m})"))
     fill_normal(state, m)
-    marks = []  # (mark, clone at the mark, chain cache at the mark)
+    marks = []  # (mark, clone at the mark)
     tx = Transaction(STRANGER, 1, 1, 5)
     for op in ops:
         if op[0] == "mark":
-            marks.append((state.mark(), state.clone(), dict(state._chain)))
+            marks.append((state.mark(), state.clone()))
         elif op[0] == "rollback":
             if marks:
-                mark, ref, chain = marks.pop()
+                mark, ref = marks.pop()
                 state.rollback(mark)
-                check_rolled_back(state, ref, chain, tx)
+                check_rolled_back(state, ref, tx)
         elif op[0] == "fill":
             fill_normal(state, op[1])
         elif marks:
@@ -520,12 +547,11 @@ def test_indexed_admission_equals_scans(family, m, ops):
         out = state.admit_mut(tx)
         assert (out.reason is DeclineReason.STALE_NONCE) == stale
     while marks:
-        mark, ref, chain = marks.pop()
+        mark, ref = marks.pop()
         state.rollback(mark)
-        check_rolled_back(state, ref, chain, tx)
+        check_rolled_back(state, ref, tx)
     assert state._undo is None
-    for sender, cached in state._chain.items():
-        assert cached == walk_chain(state, sender), sender
+    check_chain_cache(state)
 
 
 def test_build_block_raises_under_a_mark():
@@ -606,8 +632,7 @@ def test_fill_normal_equals_admission_loop(family, m, ops, count):
     assert fast.canonical() == plain.canonical()
     assert (fast.seq, fast.future_count, fast._benign_auto) == \
         (plain.seq, plain.future_count, plain._benign_auto)
-    for sender, cached in fast._chain.items():
-        assert cached == walk_chain(fast, sender), sender
+    check_chain_cache(fast)
 
 
 @BIG
