@@ -15,7 +15,7 @@ from .oracle import (OracleConfig, OracleVerdict, asym_D, asym_E,
                      check_eviction, check_locking, classify_tp_fp)
 from .fuzzer import FuzzResult, run_fuzzer
 from .exploitkit import (Exploit, ExtensionFailed, PatternIncompatible,
-                         ReplayReport, WorkloadSpec, XT_PATTERNS,
+                         ReplayReport, XT_PATTERNS,
                          base_price_step_float, dedup, extend, generate_xt,
                          replay, run_pattern, simulate_xt8a,
                          vulnerability_matrix)

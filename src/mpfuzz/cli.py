@@ -1,8 +1,9 @@
 """Command-line front end: fuzz, extend, replay, eval, compare, presets.
 
 Configuration precedence is flags > config file > preset defaults.  The
-config file is JSON.  All payload outputs are deterministic for a fixed
-config; wall-clock figures are kept out of persisted files.
+config file is JSON; no environment variable is read.  All payload
+outputs are deterministic for a fixed config; wall-clock figures are kept
+out of persisted files.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Optional
 import click
 
 from .baselines import BASELINE_KINDS, run_baseline, run_reference
-from .exploitkit import (Exploit, ExtensionFailed, WorkloadSpec, XT_PATTERNS,
-                         extend, replay, run_pattern)
+from .exploitkit import (Exploit, ExtensionFailed, XT_PATTERNS, extend,
+                         replay, run_pattern)
 from .mempool import (MempoolPolicy, PRESET_FAMILIES, VULNERABILITY_MATRIX,
                       policy_preset)
 from .oracle import OracleConfig
@@ -190,8 +191,7 @@ def cmd_replay(exploit_file, preset, blocks, txs_per_block, out_path):
     """Replay an exploit file against a workload and report damage."""
     ex = Exploit.load(exploit_file)
     policy = _resolve_policy(preset, {})
-    report = replay(ex.concrete_txs, policy,
-                    WorkloadSpec(txs_per_block=txs_per_block), blocks)
+    report = replay(ex.concrete_txs, policy, txs_per_block, blocks)
     _write_json(out_path, report.to_json())
     click.echo(f"success_rate={report.success_rate:.4f} "
                f"cost/block={report.cost_per_block:.1f}")
@@ -289,7 +289,7 @@ def cmd_presets(name_filter):
 
 
 def entry():
-    main(auto_envvar_prefix="MPFUZZ")
+    main()
 
 
 if __name__ == "__main__":

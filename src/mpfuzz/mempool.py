@@ -13,8 +13,9 @@ import enum
 import heapq
 import json
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import (Callable, Dict, List, NamedTuple, Optional, Set, Tuple,
+                    get_type_hints)
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
                       WorldState, benign)
@@ -72,37 +73,32 @@ class MempoolPolicy:
                                  f"negative, got {getattr(self, fld)}")
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "capacity": self.capacity,
-            "future_quota": self.future_quota,
-            "sender_limit": self.sender_limit,
-            "sender_limit_threshold": self.sender_limit_threshold,
-            "eviction_rule": self.eviction_rule.value,
-            "turning_rule": self.turning_rule.value,
-            "replacement_allowed": self.replacement_allowed,
-            "replacement_overdraft_guard": self.replacement_overdraft_guard,
-            "reversal_guard": self.reversal_guard,
-            "future_eviction_guard": self.future_eviction_guard,
-            "latent_admission_guard": self.latent_admission_guard,
-        }
+        """Every field by name, an enum field as its value."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = v.value if isinstance(v, enum.Enum) else v
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "MempoolPolicy":
-        return MempoolPolicy(
-            name=obj["name"],
-            capacity=int(obj["capacity"]),
-            future_quota=int(obj["future_quota"]),
-            sender_limit=int(obj["sender_limit"]),
-            sender_limit_threshold=int(obj["sender_limit_threshold"]),
-            eviction_rule=EvictionRule(obj["eviction_rule"]),
-            turning_rule=TurningRule(obj["turning_rule"]),
-            replacement_allowed=bool(obj["replacement_allowed"]),
-            replacement_overdraft_guard=bool(obj["replacement_overdraft_guard"]),
-            reversal_guard=bool(obj["reversal_guard"]),
-            future_eviction_guard=bool(obj["future_eviction_guard"]),
-            latent_admission_guard=bool(obj["latent_admission_guard"]),
-        )
+        """The policy of a `to_json` record.  An enum field is read from
+        its value; any other value must already be of its field's type,
+        so neither `true` nor `6.9` is an int and `"false"` is no bool.
+        A bad value raises ValueError naming the field, a missing one
+        KeyError."""
+        kwargs = {}
+        for name, typ in get_type_hints(MempoolPolicy).items():
+            raw = obj[name]
+            try:
+                v = typ(raw) if issubclass(typ, enum.Enum) else raw
+            except ValueError:
+                v = None
+            if type(v) is not typ:
+                raise ValueError(f"policy field {name} must be "
+                                 f"{typ.__name__}, got {raw!r}")
+            kwargs[name] = v
+        return MempoolPolicy(**kwargs)
 
 
 @dataclass(slots=True)
@@ -110,7 +106,6 @@ class PoolEntry:
     tx: Transaction
     seq: int
     is_future: bool = False
-    via_replacement: bool = False
 
 
 @dataclass
@@ -167,7 +162,7 @@ class MempoolState:
       price, first seq, sender) record of each sender's current pair.
 
     Two records that tie on (price, seq) name the same entry or sender, so
-    ordering records never compares the unorderable `Address`.
+    ordering records never compares two senders.
 
     `_chain` maps some resident senders to their `ChainState`, which
     always equals a fresh walk of the sender's entries.  Appending at the
@@ -214,7 +209,7 @@ class MempoolState:
         """An independent copy; its chain cache starts empty."""
         st = MempoolState(self.policy, self.world.copy())
         for k, e in self.entries.items():
-            ne = PoolEntry(e.tx, e.seq, e.is_future, e.via_replacement)
+            ne = PoolEntry(e.tx, e.seq, e.is_future)
             st.entries[k] = ne
             st.by_sender.setdefault(k[0], {})[k[1]] = ne
         st.declined = list(self.declined)
@@ -328,10 +323,9 @@ class MempoolState:
             self._chain[sender] = state
         return state
 
-    def _insert(self, tx: Transaction, is_future: bool,
-                via_replacement: bool = False) -> PoolEntry:
+    def _insert(self, tx: Transaction, is_future: bool) -> PoolEntry:
         sender, nonce, price = tx.sender, tx.nonce, tx.gas_price
-        e = PoolEntry(tx, self.seq, is_future, via_replacement)
+        e = PoolEntry(tx, self.seq, is_future)
         self.seq += 1
         self.entries[(sender, nonce)] = e
         group = self.by_sender.setdefault(sender, {})
@@ -484,7 +478,7 @@ class MempoolState:
             return self._decline(tx, DeclineReason.OVERDRAFT_GUARD)
         was_future = old.is_future
         self._remove(old)
-        self._insert(tx, is_future=was_future, via_replacement=True)
+        self._insert(tx, is_future=was_future)
         # Descendants turned latent by the new value stay resident; latency
         # is re-derived from values, so nothing structural changes here.
         return AdmissionOutcome("AdmittedReplacing")
@@ -669,8 +663,7 @@ class MempoolState:
     def to_json(self) -> dict:
         return {
             "policy": self.policy.name,
-            "slots": [dict(tx=e.tx.to_json(), future=e.is_future,
-                           replacement=e.via_replacement)
+            "slots": [dict(tx=e.tx.to_json(), future=e.is_future)
                       for e in sorted(self.entries.values(),
                                       key=lambda e: (e.tx.sender.role.value,
                                                      e.tx.sender.index,

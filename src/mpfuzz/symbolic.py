@@ -66,6 +66,10 @@ def parse_input(text: str) -> Tuple[SymbolizedTx, ...]:
 class SymbolizedState:
     """Canonically ordered symbol list with per-slot price annotations.
 
+    The state alphabet is N F P C L E: `summarize_sender` gives each
+    resident slot one of N, F, P, C and L, and `_merge` pads with E; the
+    transaction symbols O and R never name a slot.
+
     Order: N slots, then F slots, then adversarial sender groups sorted
     by parent price ascending (parent first, children in nonce order),
     then E padding.
@@ -218,9 +222,9 @@ def cost(st: SymbolizedState) -> int:
             total += NORMAL_PRICE
         elif sym == "P":
             total += price
-        elif sym in ("C", "R"):
+        elif sym == "C":
             total += m + 4
-        # F, O, L, E are never chargeable.
+        # F, L, E are never chargeable.
     return total
 
 
@@ -235,7 +239,7 @@ def opcost(st: SymbolizedState) -> int:
             total += price
         elif sym == "C":
             total += 1
-        # R drops to 0 optimistically; F, O, L, E stay 0.
+        # F, L, E stay 0.
     return total
 
 

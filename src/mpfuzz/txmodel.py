@@ -7,8 +7,8 @@ prices are small integers so that pool-wide fee arithmetic stays exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, NamedTuple
 
 GAS_PER_TX = 21000
 
@@ -18,29 +18,14 @@ class Role(enum.Enum):
     ADVERSARIAL = "adversarial"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Address:
+class Address(NamedTuple):
     """A sender identity, partitioned into benign and adversarial namespaces.
 
-    Addresses key every pool index, so the hash is computed once.  It is
-    ``hash((role, index))``, the value a frozen dataclass would return, so
-    caching it moves no dict or set order.
+    Its hash and equality are those of the tuple (role, index).
     """
 
     role: Role
     index: int
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.role, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Address:
-            return NotImplemented
-        return self.index == other.index and self.role is other.role
 
     def short(self) -> str:
         tag = "N" if self.role is Role.BENIGN else "A"
@@ -62,8 +47,10 @@ def adversarial(index: int) -> Address:
     return Address(Role.ADVERSARIAL, index)
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
+    """A plain transfer.  Its hash and equality are those of the tuple of
+    its fields."""
+
     sender: Address
     nonce: int
     value: int

@@ -28,13 +28,13 @@ from fractions import Fraction
 import pytest
 
 from mpfuzz.baselines import run_baseline, run_reference
-from mpfuzz.exploitkit import (WorkloadSpec, XT_PATTERNS, extend,
-                               run_pattern, simulate_xt8a,
-                               vulnerability_matrix)
+from mpfuzz.exploitkit import (XT_PATTERNS, extend, run_pattern,
+                               simulate_xt8a, vulnerability_matrix)
 from mpfuzz.fuzzer import Seed, run_fuzzer
 from mpfuzz.mempool import PRESET_FAMILIES, policy_preset
 from mpfuzz.oracle import OracleConfig, classify_tp_fp
 from mpfuzz.symbolic import execute_input, parse_input, symbolize_state
+from mpfuzz.txmodel import GAS_PER_TX
 from test_fuzzer import energy
 
 
@@ -242,8 +242,7 @@ def test_criterion7_extension_to_full_scale():
 
 def test_criterion8_deflate_then_lock():
     pol = policy_preset("reth-fifo-reduced(6)")
-    wl = WorkloadSpec(txs_per_block=6)
-    rep = simulate_xt8a(pol, wl, eviction_blocks=35, lock_price=1,
+    rep = simulate_xt8a(pol, 6, eviction_blocks=35, lock_price=1,
                         initial_base_price=100.0)
     assert rep.feasible
     target = 100.0 * 0.875 ** 35
@@ -253,7 +252,7 @@ def test_criterion8_deflate_then_lock():
     # benign fee flow dies within three blocks of the lock landing
     assert all(r["benign_fees"] == 0 for r in lock[3:])
     # and the lock keeps blocks essentially full
-    full = wl.block_gas_limit
+    full = 6 * GAS_PER_TX
     assert all(r["gas_used"] >= full - 21000 for r in lock[1:])
 
 

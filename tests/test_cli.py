@@ -13,6 +13,7 @@ from mpfuzz.cli import main
 from mpfuzz.fuzzer import run_fuzzer
 from mpfuzz.mempool import policy_preset
 from mpfuzz.oracle import OracleConfig
+from test_mempool import BAD_POLICY_VALUES
 
 PRESET3 = "geth-1.11-reduced(3,1,2,2)"
 
@@ -87,6 +88,38 @@ def test_fuzz_rejects_a_bad_policy_override(tmp_path):
     assert res.exit_code != 0
     assert "capacity" in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", BAD_POLICY_VALUES)
+def test_fuzz_rejects_a_policy_override_of_the_wrong_type(tmp_path, field,
+                                                          value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": PRESET3,
+                               "policy": {field: value}}))
+    res = CliRunner().invoke(main, ["fuzz", "--config", str(cfg),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert f"field {field} " in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reads_no_environment_variable(tmp_path, monkeypatch):
+    # Options come from flags and the config file only; an environment
+    # variable named like a click option would otherwise beat the config.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": PRESET3, "budget_mutations": 50}))
+    monkeypatch.setenv("MPFUZZ_FUZZ_BUDGET_MUTATIONS", "5")
+    monkeypatch.setenv("MPFUZZ_FUZZ_EPSILON", "0.0001")
+    out = tmp_path / "out"
+    monkeypatch.setattr("sys.argv", ["mpfuzz", "fuzz", "--config", str(cfg),
+                                     "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mutations"] == 50
+    assert summary["oracle"] == OracleConfig().to_json()
 
 
 @pytest.mark.parametrize("config, named", [

@@ -300,6 +300,24 @@ def test_policy_rejects_bad_sizes():
             MempoolPolicy.from_json(dict(pol.to_json(), **{fld: -1}))
 
 
+# Policy values of the wrong type, or naming no rule; each must be
+# rejected with its field's name.
+BAD_POLICY_VALUES = [
+    ("future_eviction_guard", "false"),
+    ("capacity", 6.9),
+    ("capacity", True),
+    ("sender_limit", "6"),
+    ("eviction_rule", "PriceHighest"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_POLICY_VALUES)
+def test_policy_from_json_rejects_a_value_of_the_wrong_type(field, value):
+    pol = policy_preset("geth-legacy-reduced(6)")
+    with pytest.raises(ValueError, match=f"field {field}\\b"):
+        MempoolPolicy.from_json(dict(pol.to_json(), **{field: value}))
+
+
 def test_preset_errors_name_the_preset_as_written():
     for fam in PRESET_FAMILIES:
         name = f"{fam}-reduced(0)"
@@ -466,10 +484,8 @@ def check_rolled_back(state, ref, tx):
     at the mark; the chain cache, which a rollback trims rather than
     restores, must hold only fresh walks."""
     assert state.canonical() == ref.canonical()
-    assert {k: (e.seq, e.is_future, e.via_replacement)
-            for k, e in state.entries.items()} == \
-        {k: (e.seq, e.is_future, e.via_replacement)
-         for k, e in ref.entries.items()}
+    assert {k: (e.seq, e.is_future) for k, e in state.entries.items()} == \
+        {k: (e.seq, e.is_future) for k, e in ref.entries.items()}
     assert {(s, n): e for s, group in state.by_sender.items()
             for n, e in group.items()} == state.entries
     assert all(state.by_sender.values())

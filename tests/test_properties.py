@@ -162,6 +162,7 @@ def test_opcost_bounded_by_cost(preset, choices, fill):
     pol = policy_preset(preset)
     _, state = drive(pol, choices, fill=fill)
     sym = symbolize_state(state)
+    assert set(sym.key()) <= set("NFPCLE")
     assert 0 <= opcost(sym) <= cost(sym)
 
 

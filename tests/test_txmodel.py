@@ -23,6 +23,15 @@ def test_address_hash_is_the_tuple_hash():
     assert len({benign(3), adversarial(3), benign(3)}) == 2
 
 
+def test_transaction_hash_is_the_tuple_hash():
+    # Dict and set orders over transactions follow this hash, so it must
+    # stay the hash of the field tuple.
+    for sender in (benign(1), adversarial(65536)):
+        tx = Transaction(sender, 2, 3, 4)
+        assert hash(tx) == hash((sender, 2, 3, 4)) == \
+            hash(((sender.role, sender.index), 2, 3, 4))
+
+
 def test_transaction_fee_and_key():
     tx = Transaction(benign(1), 1, 2, 5)
     assert tx.fee() == 5 * GAS_PER_TX
