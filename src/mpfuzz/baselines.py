@@ -93,7 +93,7 @@ def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
     while mutations < budget:
         raw = rng.randbytes(8 * B1_TXS_PER_INPUT)
         state = new_pool(policy)
-        st0 = fill_normal(state, m)
+        st0, _ = fill_normal(state, m)
         for i in range(B1_TXS_PER_INPUT):
             if mutations >= budget:
                 break
@@ -150,7 +150,7 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
     rng = random.Random(rng_seed)
     m = policy.capacity
     root = new_pool(policy)
-    st0 = fill_normal(root, m)
+    st0, _ = fill_normal(root, m)
     covered = {_state_hash(root)}
     mutations = 0
     frontier: List[Tuple[int, int, MempoolState]] = []

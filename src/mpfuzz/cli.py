@@ -71,19 +71,33 @@ def _resolve_policy(preset: Optional[str], config: dict) -> MempoolPolicy:
 
 
 def _resolve_oracle(epsilon, lam, config: dict) -> OracleConfig:
-    """The oracle thresholds of the flags and the config; a non-positive
-    one is a usage error (exit 2)."""
-    eps = epsilon if epsilon is not None else config.get("epsilon")
-    lm = lam if lam is not None else config.get("lambda")
+    """The oracle thresholds of the flags and the config.  A config
+    threshold is a number or a fraction string such as "9/25"; any other
+    type, or a non-positive value, is a usage error (exit 2)."""
     kwargs = {}
-    if eps is not None:
-        kwargs["epsilon"] = eps
-    if lm is not None:
-        kwargs["lam"] = lm
+    for key, arg, flag in (("epsilon", "epsilon", epsilon),
+                           ("lambda", "lam", lam)):
+        value = flag if flag is not None else config.get(key)
+        if value is None:
+            continue
+        if isinstance(value, bool) or \
+                not isinstance(value, (int, float, str)):
+            raise click.UsageError(f"{key} must be a number or a fraction "
+                                   f"string, got {value!r}")
+        kwargs[arg] = value
     try:
         return OracleConfig(**kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+def _load_exploit(path: str) -> Exploit:
+    """The exploit a file holds; one that is not valid JSON, or not an
+    exploit record of this version, is a usage error (exit 2)."""
+    try:
+        return Exploit.load(path)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise click.UsageError(f"{path} is not a valid exploit file: {exc}")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -112,10 +126,11 @@ def main():
 @click.option("--no-cache", is_flag=True, default=False,
               help="Audit the search; its outputs stay the same.  "
                    "Re-execute each mutation's input and check the pool, "
-                   "transactions, state key and chargeable fees the search "
-                   "carried, check the locking gate against the plain "
-                   "probe, and judge each repeated transaction in full "
-                   "against its replayed result.  A divergence raises.")
+                   "transactions, admission outcome, state key and "
+                   "chargeable fees the search carried, check the locking "
+                   "gate against the plain probe, and judge each repeated "
+                   "transaction in full against its replayed result.  A "
+                   "divergence raises.")
 def fuzz(config_path, preset, epsilon, lam, out_dir,
          budget_mutations, budget_seconds, no_cache):
     """Run the symbolized fuzzer and write exploits + progress log."""
@@ -166,7 +181,7 @@ def fuzz(config_path, preset, epsilon, lam, out_dir,
               default="extended.json")
 def cmd_extend(exploit_file, target_preset, epsilon, lam, out_path):
     """Scale a short exploit up to a full-size policy."""
-    short = Exploit.load(exploit_file)
+    short = _load_exploit(exploit_file)
     target = _resolve_policy(target_preset, {})
     cfg = _resolve_oracle(epsilon, lam, {})
     try:
@@ -189,7 +204,7 @@ def cmd_extend(exploit_file, target_preset, epsilon, lam, out_path):
 @click.option("--out", "out_path", type=click.Path(), default="replay.json")
 def cmd_replay(exploit_file, preset, blocks, txs_per_block, out_path):
     """Replay an exploit file against a workload and report damage."""
-    ex = Exploit.load(exploit_file)
+    ex = _load_exploit(exploit_file)
     policy = _resolve_policy(preset, {})
     report = replay(ex.concrete_txs, policy, txs_per_block, blocks)
     _write_json(out_path, report.to_json())

@@ -73,10 +73,10 @@ summaries, and each step equals the whole-pool one:
   sender's entries and world account; every entry change is journaled
   under a mark, and the world does not change under one
   (``build_block`` refuses to run there).
-- Coverage is decided on the state key, built from the summaries' slot
-  counts and symbol groups.  The full ``SymbolizedState``, a merge of
-  every summary, is built only for a key not yet covered: only the gate
-  and a new seed read it, and a covered state is not judged again.
+- The ``SymbolizedState`` is built once per admitted mutation from the
+  summaries' slot counts and symbol groups (``PoolSummary.state``): its
+  key decides coverage, and the gate and a new seed read its letter
+  counts and its parents' summed price.
 - In eviction mode the verdict is built cost first: the summed
   chargeable fees are compared with epsilon of the initial residents'
   fees, then ``evicted_all`` is asked, and ``check_eviction`` runs only
@@ -104,7 +104,8 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .exploitkit import Exploit, exploit_key
-from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
+from .mempool import (AdmissionOutcome, MempoolPolicy, MempoolState,
+                      fill_normal, new_pool)
 # Also bound under this name, which the benchmark's span tracer looks up.
 from .mempool import probe_declines as _probe_declines
 from .oracle import (OracleConfig, chargeable_fees, check_eviction,
@@ -142,7 +143,7 @@ class Corpus:
         self._next_order = 0
 
     def add(self, seed: Seed) -> None:
-        key = seed.sym_state.key()
+        key = seed.sym_state.key
         if key in self.covered:
             raise ValueError(f"state already covered: {key}")
         self.covered.add(key)
@@ -188,18 +189,23 @@ def st_promising(new_sym: SymbolizedState, old_sym: SymbolizedState,
 
 def _audit_reexec(policy: MempoolPolicy, seed_input, fill_count: int,
                   cached: MempoolState, cached_txs: Tuple[Transaction, ...],
-                  cached_key: str, cached_fees: int) -> None:
+                  cached_outcome: AdmissionOutcome, cached_key: str,
+                  cached_fees: int) -> None:
     """Re-execute `seed_input` and check what the search carried for it:
-    the concrete pool, the transactions, and the state key and chargeable
-    fees it took from the seed's summaries."""
-    state, _, txs, _ = execute_input(policy, seed_input, fill_count)
+    the concrete pool, the transactions, the last admission's outcome,
+    and the state key and chargeable fees it took from the seed's
+    summaries."""
+    state, _, txs, outcomes = execute_input(policy, seed_input, fill_count)
     if state.canonical() != cached.canonical():
         raise AssertionError("cached concrete state diverged from "
                              "re-execution")
     if tuple(txs) != cached_txs:
         raise AssertionError("carried transactions diverged from "
                              "re-execution")
-    if symbolize_state(state).key() != cached_key:
+    if outcomes[-1] != cached_outcome:
+        raise AssertionError("admission outcome diverged from "
+                             "re-execution")
+    if symbolize_state(state).key != cached_key:
         raise AssertionError("summarized state key diverged from "
                              "re-execution")
     if chargeable_fees(state) != cached_fees:
@@ -289,7 +295,7 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
     m = policy.capacity
     fill_count = m if mode == "eviction" else 0
     root_state = new_pool(policy)
-    st0 = fill_normal(root_state, fill_count)
+    st0, _ = fill_normal(root_state, fill_count)
     st0_fees = total_fees(st0)
     root_ctx = InstantiationContext(capacity=m, benign_next=fill_count + 1)
     corpus = Corpus()
@@ -323,12 +329,14 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
             if outcome.admitted:
                 fresh = {s: summarize_sender(pool, s)
                          for s in pool.touched_since(mark)}
-                key = summary.key(fresh)
+                new_sym = summary.state(fresh)
+                key = new_sym.key
             else:
                 fresh, key = {}, seed_key
             if reexec_audit:
                 _audit_reexec(policy, new_input, fill_count, pool,
-                              seed.txs + (tx,), key, summary.fee(fresh))
+                              seed.txs + (tx,), outcome, key,
+                              summary.fee(fresh))
             if not outcome.admitted:
                 # The pool is the seed's, judged already (see the module
                 # docstring).
@@ -352,7 +360,6 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
             if key not in corpus.covered:
                 if declined_probes is None:
                     declined_probes, _ = _probe_declines(pool, m)
-                new_sym = summary.state(fresh)
                 ok = True
                 if promising:
                     ok = st_promising(new_sym, seed.sym_state,
@@ -395,7 +402,7 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
         # Seed-scoped: the pool's summaries, taken once for all its
         # candidates, and what a repeated transaction replays (see the
         # module docstring).
-        seed_key = seed.sym_state.key()
+        seed_key = seed.sym_state.key
         summary = PoolSummary(seed.concrete)
         replays: Dict[Transaction, tuple] = {}
         while not seed.exhausted():

@@ -135,7 +135,6 @@ class Mark(NamedTuple):
     seq: int
     future_count: int
     benign_auto: int
-    declined_len: int
     heaps: Tuple[list, list, list, list]
     acct_key: Dict[Address, Tuple[int, int]]
 
@@ -176,13 +175,13 @@ class MempoolState:
     marks nest, and the innermost open one is rolled back first.  While a
     mark is open the pool journals only its entries: an undo log records
     every entry inserted or removed and every `is_future` flip from
-    turning.  The mark itself holds `seq`, `future_count`, `_benign_auto`,
-    the length of `declined`, and a copy of each victim heap and of
-    `_acct_key`.  `_chain` is neither journaled nor copied: it is a cache,
-    so a rollback drops the cached state of every sender whose entries it
-    restores, and keeps the rest, whose entries are as they were.  That
-    covers all an admission writes; `build_block`, which also writes the
-    world, refuses to run under a mark.
+    turning.  The mark itself holds `seq`, `future_count`, `_benign_auto`
+    and a copy of each victim heap and of `_acct_key`.  `_chain` is
+    neither journaled nor copied: it is a cache, so a rollback drops the
+    cached state of every sender whose entries it restores, and keeps the
+    rest, whose entries are as they were.  That covers all an admission
+    writes; `build_block`, which also writes the world, refuses to run
+    under a mark.
     """
 
     def __init__(self, policy: MempoolPolicy, world: WorldState):
@@ -190,7 +189,6 @@ class MempoolState:
         self.world = world
         self.entries: Dict[Tuple[Address, int], PoolEntry] = {}
         self.by_sender: Dict[Address, Dict[int, PoolEntry]] = {}
-        self.declined: List[Tuple[Transaction, DeclineReason]] = []
         self.seq = 0
         self.future_count = 0
         self._benign_auto = 0
@@ -212,7 +210,6 @@ class MempoolState:
             ne = PoolEntry(e.tx, e.seq, e.is_future)
             st.entries[k] = ne
             st.by_sender.setdefault(k[0], {})[k[1]] = ne
-        st.declined = list(self.declined)
         st.seq = self.seq
         st.future_count = self.future_count
         st._benign_auto = self._benign_auto
@@ -230,7 +227,7 @@ class MempoolState:
         if self._undo is None:
             self._undo = []
         mark = Mark(len(self._undo), self.seq, self.future_count,
-                    self._benign_auto, len(self.declined),
+                    self._benign_auto,
                     (self._heap_pending.copy(), self._heap_future.copy(),
                      self._heap_childless.copy(), self._heap_acct.copy()),
                     self._acct_key.copy())
@@ -264,7 +261,6 @@ class MempoolState:
         self.seq = mark.seq
         self.future_count = mark.future_count
         self._benign_auto = mark.benign_auto
-        del self.declined[mark.declined_len:]
         (self._heap_pending, self._heap_future, self._heap_childless,
          self._heap_acct) = mark.heaps
         self._acct_key = mark.acct_key
@@ -436,17 +432,17 @@ class MempoolState:
 
         # A nonce already executed can never be included again.
         if tx.nonce <= chain[0]:
-            return self._decline(tx, DeclineReason.STALE_NONCE)
+            return self._decline(DeclineReason.STALE_NONCE)
 
         # Overdrafting arrivals never enter, whatever their nonce position;
         # `_classify` has checked the balance unless the arrival is future.
         if cls is ValidityClass.OVERDRAFT or (
                 cls is ValidityClass.FUTURE and
                 tx.value > self.world.balance(tx.sender)):
-            return self._decline(tx, DeclineReason.OVERDRAFT)
+            return self._decline(DeclineReason.OVERDRAFT)
 
         if cls is ValidityClass.LATENT_OVERDRAFT and pol.latent_admission_guard:
-            return self._decline(tx, DeclineReason.LATENT_GUARD)
+            return self._decline(DeclineReason.LATENT_GUARD)
 
         if cls is ValidityClass.FUTURE:
             return self._admit_future(tx)
@@ -455,27 +451,26 @@ class MempoolState:
         chain_count = chain[3]
         if chain_count >= pol.sender_limit and \
                 self.pending_count > pol.sender_limit_threshold:
-            return self._decline(tx, DeclineReason.SENDER_LIMIT)
+            return self._decline(DeclineReason.SENDER_LIMIT)
 
         if len(self.entries) < pol.capacity:
             self._insert(tx, is_future=False)
             return AdmissionOutcome("Admitted")
         return self._admit_by_eviction(tx, arriving_future=False)
 
-    def _decline(self, tx: Transaction, reason: DeclineReason) -> AdmissionOutcome:
-        self.declined.append((tx, reason))
+    def _decline(self, reason: DeclineReason) -> AdmissionOutcome:
         return AdmissionOutcome("Declined", reason=reason)
 
     def _admit_replacement(self, tx: Transaction) -> AdmissionOutcome:
         pol = self.policy
         old = self.entries[(tx.sender, tx.nonce)]
         if not pol.replacement_allowed or tx.gas_price <= old.tx.gas_price:
-            return self._decline(tx, DeclineReason.PRICE_TOO_LOW)
+            return self._decline(DeclineReason.PRICE_TOO_LOW)
         if tx.value > self.world.balance(tx.sender):
-            return self._decline(tx, DeclineReason.OVERDRAFT)
+            return self._decline(DeclineReason.OVERDRAFT)
         if pol.replacement_overdraft_guard and \
                 self._replacement_turns_latent(tx):
-            return self._decline(tx, DeclineReason.OVERDRAFT_GUARD)
+            return self._decline(DeclineReason.OVERDRAFT_GUARD)
         was_future = old.is_future
         self._remove(old)
         self._insert(tx, is_future=was_future)
@@ -505,21 +500,21 @@ class MempoolState:
     def _admit_future(self, tx: Transaction) -> AdmissionOutcome:
         pol = self.policy
         if self.future_count >= pol.future_quota:
-            return self._decline(tx, DeclineReason.QUOTA_FUTURE)
+            return self._decline(DeclineReason.QUOTA_FUTURE)
         if len(self.entries) < pol.capacity:
             self._insert(tx, is_future=True)
             return AdmissionOutcome("Admitted")
         if pol.future_eviction_guard:
-            return self._decline(tx, DeclineReason.FULL_NO_VICTIM)
+            return self._decline(DeclineReason.FULL_NO_VICTIM)
         return self._admit_by_eviction(tx, arriving_future=True)
 
     def _admit_by_eviction(self, tx: Transaction,
                            arriving_future: bool) -> AdmissionOutcome:
         victim = self._select_victim(tx)
         if victim is None:
-            return self._decline(tx, DeclineReason.FULL_NO_VICTIM)
+            return self._decline(DeclineReason.FULL_NO_VICTIM)
         if self.policy.reversal_guard and tx.gas_price <= victim.tx.gas_price:
-            return self._decline(tx, DeclineReason.REVERSAL_GUARD)
+            return self._decline(DeclineReason.REVERSAL_GUARD)
         self._remove(victim)
         self._insert(tx, is_future=arriving_future)
         if not victim.is_future:
@@ -668,8 +663,6 @@ class MempoolState:
                                       key=lambda e: (e.tx.sender.role.value,
                                                      e.tx.sender.index,
                                                      e.tx.nonce))],
-            "declined": [dict(tx=t.to_json(), reason=r.value)
-                         for t, r in self.declined],
         }
 
     def canonical(self) -> str:
@@ -682,31 +675,34 @@ def new_pool(policy: MempoolPolicy) -> MempoolState:
     return MempoolState(policy, WorldState(default_balance=policy.capacity))
 
 
-def fill_normal(state: MempoolState, count: int) -> List[Transaction]:
+def fill_normal(state: MempoolState, count: int
+                ) -> Tuple[List[Transaction], List[Transaction]]:
     """Offer `count` benign single transactions from fresh senders.
 
-    Once a fresh arrival is declined, each later one is declined with the
-    same reason without being admitted.  That is exact: a decline leaves
-    the entries and the world as they were, and admission reads nothing
-    of a sender with no resident entry and no written account but its
-    price, value and nonce, which all benign arrivals share.  An arrival
-    whose sender has either is admitted as usual.
+    Returns the arrivals offered and, in order, those declined.  Once a
+    fresh arrival is declined, each later fresh one is declined without
+    being admitted.  That is exact: a decline leaves the entries and the
+    world as they were, and admission reads nothing of a sender with no
+    resident entry and no written account but its price, value and
+    nonce, which all benign arrivals share.  An arrival whose sender has
+    either is admitted as usual.
     """
-    out = []
-    reason: Optional[DeclineReason] = None
+    offered: List[Transaction] = []
+    declined: List[Transaction] = []
+    shortcut = False
     for _ in range(count):
         state._benign_auto += 1
         tx = Transaction(benign(state._benign_auto), nonce=1,
                          value=NORMAL_VALUE, gas_price=NORMAL_PRICE)
         fresh = tx.sender not in state.by_sender and \
             tx.sender not in state.world.accounts
-        if fresh and reason is not None:
-            state.declined.append((tx, reason))
+        if (fresh and shortcut) or not state.admit_mut(tx).admitted:
+            declined.append(tx)
+            shortcut = fresh
         else:
-            outcome = state.admit_mut(tx)
-            reason = outcome.reason if fresh else None
-        out.append(tx)
-    return out
+            shortcut = False
+        offered.append(tx)
+    return offered, declined
 
 
 def probe_declines(state: MempoolState, count: int,
@@ -721,9 +717,7 @@ def probe_declines(state: MempoolState, count: int,
     """
     mark = state.mark()
     try:
-        before = len(state.declined)
-        fill_normal(state, count)
-        declined = [tx for tx, _ in state.declined[before:]]
+        _, declined = fill_normal(state, count)
         return declined, (read(state, declined) if read is not None
                           else None)
     finally:

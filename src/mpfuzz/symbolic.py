@@ -4,15 +4,16 @@ Concrete transactions collapse into a small alphabet: N (benign pending),
 F (future), P (adversarial parent), C (chain child), O (overdraft),
 L (latent overdraft), R (replacement), E (empty slot).  Fuzzing explores
 sequences of symbols instead of raw transactions; this module maps both
-directions and prices the states the fuzzer ranks.
+directions and prices the states the fuzzer ranks.  A pool symbolizes to
+a word with one letter per slot and the summed price of its parents:
+coverage reads the word, and the ranking its letter counts and that sum.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import (Collection, Dict, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .mempool import (NORMAL_PRICE, NORMAL_VALUE, MempoolPolicy,
                       MempoolState, PoolEntry, fill_normal, new_pool)
@@ -64,45 +65,43 @@ def parse_input(text: str) -> Tuple[SymbolizedTx, ...]:
 
 @dataclass(frozen=True)
 class SymbolizedState:
-    """Canonically ordered symbol list with per-slot price annotations.
+    """A pool's symbolized state: what the search covers and ranks.
 
-    The state alphabet is N F P C L E: `summarize_sender` gives each
-    resident slot one of N, F, P, C and L, and `_merge` pads with E; the
-    transaction symbols O and R never name a slot.
-
-    Order: N slots, then F slots, then adversarial sender groups sorted
-    by parent price ascending (parent first, children in nonce order),
-    then E padding.
+    `key` has one letter per slot.  The state alphabet is N F P C L E:
+    `summarize_sender` gives each resident slot one of N, F, P, C and L,
+    and `PoolSummary.state` pads with E; the transaction symbols O and R
+    never name a slot.  The order is N slots, then F slots, then the
+    adversarial sender groups by ascending parent price (ties by sender
+    index), each its parent first and children in nonce order, then E
+    padding.  `parent_prices` is the summed gas price of the P slots,
+    the one price that `cost` and `opcost` read.
     """
 
-    slots: Tuple[Tuple[str, int], ...]
+    key: str
+    parent_prices: int
     capacity: int
 
-    def key(self) -> str:
-        return "".join(s for s, _ in self.slots)
-
     def count(self, symbol: str) -> int:
-        return sum(1 for s, _ in self.slots if s == symbol)
+        return self.key.count(symbol)
 
 
 class SenderSummary(NamedTuple):
     """What one sender contributes to its pool's symbolized state.
 
-    `n_slots` and `f_slots` hold a (price, seq) pair per N and F slot.
-    `group` is an adversarial sender's (parent price, index, symbol word,
-    slots) when it has a pending chain, else None; its slots are the
-    chain's (symbol, price) pairs, P first, and the word their symbols.
-    `fee` is the fee of the sender's non-L chain prefix, its part of
-    `oracle.chargeable_fees`.
+    `n` and `f` count its N and F slots.  `group` is an adversarial
+    sender's (parent price, index, word) when it has a pending chain,
+    else None; the word is the chain's symbols, P first, and the parent
+    price is its first transaction's gas price.  `fee` is the fee of the
+    sender's non-L chain prefix, its part of `oracle.chargeable_fees`.
     """
 
-    n_slots: Tuple[Tuple[int, int], ...]
-    f_slots: Tuple[Tuple[int, int], ...]
-    group: Optional[Tuple[int, int, str, Tuple[Tuple[str, int], ...]]]
+    n: int
+    f: int
+    group: Optional[Tuple[int, int, str]]
     fee: int
 
 
-_NO_SLOTS = SenderSummary((), (), None, 0)
+_NO_SLOTS = SenderSummary(0, 0, None, 0)
 
 
 def summarize_sender(state: MempoolState, sender: Address) -> SenderSummary:
@@ -114,52 +113,28 @@ def summarize_sender(state: MempoolState, sender: Address) -> SenderSummary:
     chain = state.sender_chain_entries(sender)
     balance = state.world.balance(sender)
     cum = fee = 0
-    syms: List[Tuple[str, int]] = []
+    word = []
     for pos, e in enumerate(chain):
         cum += e.tx.value
         if cum > balance:
-            sym = "L"
+            word.append("L")
         else:
             fee += e.tx.fee()
-            sym = "P" if pos == 0 else "C"
-        syms.append((sym, e.tx.gas_price))
+            word.append("P" if pos == 0 else "C")
     if sender.role is Role.BENIGN:
-        return SenderSummary(
-            tuple((e.tx.gas_price, e.seq) for e in group.values()
-                  if not e.is_future),
-            tuple((e.tx.gas_price, e.seq) for e in group.values()
-                  if e.is_future),
-            None, fee)
-    # The chain is the run of nonces above the confirmed one.
-    low = state.world.confirmed_nonce(sender)
-    high = low + len(chain)
+        f = sum(1 for e in group.values() if e.is_future)
+        return SenderSummary(len(group) - f, f, None, fee)
+    # Every entry off the pending chain is an F slot.
     return SenderSummary(
-        (),
-        tuple((e.tx.gas_price, e.seq) for nonce, e in group.items()
-              if not low < nonce <= high),
-        (chain[0].tx.gas_price, sender.index,
-         "".join(sym for sym, _ in syms), tuple(syms)) if chain else None,
+        0, len(group) - len(chain),
+        (chain[0].tx.gas_price, sender.index, "".join(word))
+        if chain else None,
         fee)
-
-
-def _merge(summaries: Collection[SenderSummary],
-           capacity: int) -> SymbolizedState:
-    """The symbolized state of a pool whose senders have `summaries`."""
-    slots: List[Tuple[str, int]] = []
-    slots.extend(("N", p) for p, _ in
-                 sorted(x for s in summaries for x in s.n_slots))
-    slots.extend(("F", p) for p, _ in
-                 sorted(x for s in summaries for x in s.f_slots))
-    for group in sorted(s.group for s in summaries if s.group is not None):
-        slots.extend(group[3])
-    slots.extend(("E", 0) for _ in range(capacity - len(slots)))
-    return SymbolizedState(tuple(slots), capacity)
 
 
 def symbolize_state(state: MempoolState) -> SymbolizedState:
     """The pool's symbolized state: the merge of every sender's summary."""
-    return _merge([summarize_sender(state, s) for s in state.by_sender],
-                  state.policy.capacity)
+    return PoolSummary(state).state({})
 
 
 class PoolSummary:
@@ -175,21 +150,21 @@ class PoolSummary:
         self.senders = {s: summarize_sender(state, s)
                         for s in state.by_sender}
         kept = self.senders.values()
-        self.n = sum(len(x.n_slots) for x in kept)
-        self.f = sum(len(x.f_slots) for x in kept)
+        self.n = sum(x.n for x in kept)
+        self.f = sum(x.f for x in kept)
         self.fee_sum = sum(x.fee for x in kept)
         # Sorted by (parent price, index); no two groups share an index.
         self.groups = sorted(x.group for x in kept if x.group is not None)
 
-    def key(self, fresh: Dict[Address, SenderSummary]) -> str:
-        """`SymbolizedState.key()` of the changed pool."""
+    def state(self, fresh: Dict[Address, SenderSummary]) -> SymbolizedState:
+        """`symbolize_state` of the changed pool."""
         n, f, groups = self.n, self.f, self.groups
         gone: Set[int] = set()
         added = []
         for sender, new in fresh.items():
             old = self.senders.get(sender, _NO_SLOTS)
-            n += len(new.n_slots) - len(old.n_slots)
-            f += len(new.f_slots) - len(old.f_slots)
+            n += new.n - old.n
+            f += new.f - old.f
             if old.group is not None:
                 gone.add(old.group[1])
             if new.group is not None:
@@ -197,8 +172,12 @@ class PoolSummary:
         if gone or added:
             groups = sorted([g for g in groups if g[1] not in gone] + added)
         word = "".join(g[2] for g in groups)
-        return "N" * n + "F" * f + word + \
-            "E" * (self.capacity - n - f - len(word))
+        # A group's first slot is its P, or an L when the parent itself
+        # overdraws.
+        return SymbolizedState(
+            "N" * n + "F" * f + word + "E" * (self.capacity - n - f -
+                                              len(word)),
+            sum(g[0] for g in groups if g[2][0] == "P"), self.capacity)
 
     def fee(self, fresh: Dict[Address, SenderSummary]) -> int:
         """`oracle.chargeable_fees` of the changed pool."""
@@ -206,41 +185,18 @@ class PoolSummary:
             new.fee - self.senders.get(sender, _NO_SLOTS).fee
             for sender, new in fresh.items())
 
-    def state(self, fresh: Dict[Address, SenderSummary]) -> SymbolizedState:
-        """`symbolize_state` of the changed pool."""
-        merged = dict(self.senders)
-        merged.update(fresh)
-        return _merge(merged.values(), self.capacity)
-
 
 def cost(st: SymbolizedState) -> int:
-    """Gas-price total a full-damage attacker would pay for this state."""
-    m = st.capacity
-    total = 0
-    for sym, price in st.slots:
-        if sym == "N":
-            total += NORMAL_PRICE
-        elif sym == "P":
-            total += price
-        elif sym == "C":
-            total += m + 4
-        # F, L, E are never chargeable.
-    return total
+    """Gas-price total a full-damage attacker would pay for this state:
+    each N at the benign price, each P at its own price and each C at
+    capacity+4.  F, L and E are never chargeable."""
+    return NORMAL_PRICE * st.count("N") + st.parent_prices + \
+        (st.capacity + 4) * st.count("C")
 
 
 def opcost(st: SymbolizedState) -> int:
-    """Optimistic cost: turnable children are priced at their floor."""
-    m = st.capacity
-    total = 0
-    for sym, price in st.slots:
-        if sym == "N":
-            total += NORMAL_PRICE
-        elif sym == "P":
-            total += price
-        elif sym == "C":
-            total += 1
-        # F, L, E stay 0.
-    return total
+    """Optimistic cost: `cost` with each turnable C at its floor, 1."""
+    return NORMAL_PRICE * st.count("N") + st.parent_prices + st.count("C")
 
 
 # -- instantiation ---------------------------------------------------------

@@ -36,7 +36,16 @@ class Address(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "Address":
-        return Address(Role(obj["role"]), int(obj["index"]))
+        """The address of a `to_json` record; see `Transaction.from_json`
+        for what a bad one raises."""
+        return Address(Role(obj["role"]), _int_field(obj, "index"))
+
+
+def _int_field(obj: dict, name: str) -> int:
+    value = obj[name]
+    if type(value) is not int:
+        raise ValueError(f"field {name} must be int, got {value!r}")
+    return value
 
 
 def benign(index: int) -> Address:
@@ -73,8 +82,13 @@ class Transaction(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "Transaction":
-        return Transaction(Address.from_json(obj["sender"]), int(obj["nonce"]),
-                           int(obj["value"]), int(obj["gas_price"]))
+        """The transaction of a `to_json` record.  Each integer field must
+        already be an int, so neither `true` nor `2.7` nor `"5"` is one;
+        a bad value raises ValueError naming the field, a missing one
+        KeyError."""
+        return Transaction(Address.from_json(obj["sender"]),
+                           _int_field(obj, "nonce"), _int_field(obj, "value"),
+                           _int_field(obj, "gas_price"))
 
     def __repr__(self) -> str:
         return (f"Tx({self.sender.short()},n{self.nonce},"

@@ -80,7 +80,7 @@ def test_criterion2_costs_and_energies():
         seq = parse_input(text) if text else ()
         state, ctx, _, _ = execute_input(pol, seq, fill_count=3)
         sym = symbolize_state(state)
-        assert sym.key() == key
+        assert sym.key == key
         assert opcost(sym) == expected_opcost[key]
         seed = Seed(input=seq, sym_state=sym, concrete=state, ctx=ctx,
                     order=0, candidates=("pending",) if key != "NNN" else ())

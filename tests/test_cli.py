@@ -14,6 +14,7 @@ from mpfuzz.fuzzer import run_fuzzer
 from mpfuzz.mempool import policy_preset
 from mpfuzz.oracle import OracleConfig
 from test_mempool import BAD_POLICY_VALUES
+from test_txmodel import BAD_TX_RECORD
 
 PRESET3 = "geth-1.11-reduced(3,1,2,2)"
 
@@ -120,6 +121,38 @@ def test_cli_reads_no_environment_variable(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mutations"] == 50
     assert summary["oracle"] == OracleConfig().to_json()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", True), ("epsilon", [1]), ("lambda", {"num": 9}),
+    ("lambda", False),
+])
+def test_fuzz_rejects_a_threshold_of_the_wrong_type(tmp_path, key, value):
+    # `true` would run at 1 and a list would end in a traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": PRESET3, key: value}))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["fuzz", "--config", str(cfg),
+                                    "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"{key} must be a number" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, shown", [
+    (0.2, "1/5"), (1, "1"), ("9/25", "9/25"),
+])
+def test_fuzz_takes_a_threshold_number_or_fraction_string(tmp_path, value,
+                                                          shown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": PRESET3, "epsilon": value,
+                               "budget_mutations": 5}))
+    out = tmp_path / "out"
+    res = run_cli("fuzz", "--config", str(cfg), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["oracle"]["epsilon"] == shown
 
 
 @pytest.mark.parametrize("config, named", [
@@ -347,3 +380,39 @@ def test_replay_of_zero_blocks(tmp_path):
     assert "cost/block=0.0" in res.output
     report = json.load(open(out))
     assert report["blocks"] == 0 and report["series"] == []
+
+
+def malformed(record, how):
+    """The text of an exploit file made from `record` and broken `how`."""
+    record = json.loads(json.dumps(record))
+    if how == "json":
+        return json.dumps(record)[:-1]
+    if how == "version":
+        record["version"] = 2
+    elif how == "missing":
+        del record["verdict"]
+    else:
+        record["concrete_txs"][0] = BAD_TX_RECORD
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize("how", ["json", "version", "missing", "type"])
+@pytest.mark.parametrize("command", ["extend", "replay"])
+def test_malformed_exploit_file_is_a_usage_error(tmp_path, command, how):
+    with open(saved_exploit(tmp_path)) as f:
+        record = json.load(f)
+    path = tmp_path / "bad.json"
+    path.write_text(malformed(record, how))
+    args = {
+        "extend": ["extend", str(path), "--target-preset",
+                   "geth-legacy-reduced(6)"],
+        "replay": ["replay", str(path), "--preset", "geth-legacy-reduced(6)"],
+    }[command]
+    out = str(tmp_path / "out")
+    res = CliRunner().invoke(main, args + ["--out", out])
+    assert res.exit_code == 2, res.output
+    assert "not a valid exploit file" in res.output
+    if how == "type":
+        assert "field index " in res.output
+    assert "Traceback" not in res.output
+    assert not os.path.exists(out)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpfuzz.fuzzer import Corpus, Seed, _audit_reexec, run_fuzzer
-from mpfuzz.mempool import (PRESET_FAMILIES, fill_normal, new_pool,
+from mpfuzz.mempool import (PRESET_FAMILIES, AdmissionOutcome,
+                            DeclineReason, fill_normal, new_pool,
                             policy_preset, probe_declines)
 from mpfuzz.oracle import (OracleConfig, chargeable_fees, check_eviction,
                            check_locking)
@@ -86,9 +87,9 @@ def generated_seed(chain, n_candidates, serial):
     # Each P slot adds its price to opcost and each C slot adds 1; an
     # empty chain has opcost 0.  `serial` E slots make every key distinct
     # without changing opcost.
-    slots = tuple(("P", p) if p else ("C", 0) for p in chain) + \
-        (("E", 0),) * serial
-    sym = SymbolizedState(slots, capacity=len(slots))
+    key = "".join("P" if p else "C" for p in chain) + "E" * serial
+    sym = SymbolizedState(key, sum(p for p in chain if p),
+                          capacity=len(key))
     return Seed(input=(), sym_state=sym, concrete=None, ctx=None, order=0,
                 candidates=tuple(SymbolizedTx("P", k)
                                  for k in range(n_candidates)))
@@ -142,15 +143,31 @@ def test_exploit_txs_equal_reexecution(preset, mode):
 def test_reexec_audit_checks_carried_txs():
     pol = policy_preset(PRESET3)
     seq = parse_input("P C1 P0")
-    state, _, txs, _ = execute_input(pol, seq, fill_count=3)
-    key, fees = symbolize_state(state).key(), chargeable_fees(state)
-    _audit_reexec(pol, seq, 3, state, tuple(txs), key, fees)
+    state, _, txs, outcomes = execute_input(pol, seq, fill_count=3)
+    key, fees = symbolize_state(state).key, chargeable_fees(state)
+    out = outcomes[-1]
+    _audit_reexec(pol, seq, 3, state, tuple(txs), out, key, fees)
     with pytest.raises(AssertionError, match="carried transactions"):
-        _audit_reexec(pol, seq, 3, state, tuple(txs[:-1]), key, fees)
+        _audit_reexec(pol, seq, 3, state, tuple(txs[:-1]), out, key, fees)
     with pytest.raises(AssertionError, match="state key"):
-        _audit_reexec(pol, seq, 3, state, tuple(txs), "E" * len(key), fees)
+        _audit_reexec(pol, seq, 3, state, tuple(txs), out, "E" * len(key),
+                      fees)
     with pytest.raises(AssertionError, match="chargeable fees"):
-        _audit_reexec(pol, seq, 3, state, tuple(txs), key, fees + 1)
+        _audit_reexec(pol, seq, 3, state, tuple(txs), out, key, fees + 1)
+    # The last admission's kind and decline reason are checked too.
+    with pytest.raises(AssertionError, match="admission outcome"):
+        _audit_reexec(pol, seq, 3, state, tuple(txs),
+                      AdmissionOutcome("Admitted"), key, fees)
+    declined = parse_input("P C1 P0 O1")
+    state, _, txs, outcomes = execute_input(pol, declined, fill_count=3)
+    assert outcomes[-1].reason is DeclineReason.OVERDRAFT
+    _audit_reexec(pol, declined, 3, state, tuple(txs), outcomes[-1], key,
+                  fees)
+    with pytest.raises(AssertionError, match="admission outcome"):
+        _audit_reexec(pol, declined, 3, state, tuple(txs),
+                      AdmissionOutcome("Declined",
+                                       DeclineReason.FULL_NO_VICTIM),
+                      key, fees)
 
 
 def test_golden_early_trace():
@@ -297,7 +314,7 @@ def test_gate_judges_each_state_once(monkeypatch):
     gate = fuzzer.st_promising
 
     def spy(new_sym, *args):
-        judged.append(new_sym.key())
+        judged.append(new_sym.key)
         return gate(new_sym, *args)
 
     monkeypatch.setattr(fuzzer, "st_promising", spy)
@@ -345,9 +362,9 @@ def test_declined_mutations_leave_the_seed_state(size):
             fill = m if mode == "eviction" else 0
             state, _, _, outcomes = execute_input(pol, new_input, fill)
             assert outcomes[-1].kind == "Declined"
-            assert rec["state"] == seed == symbolize_state(state).key()
+            assert rec["state"] == seed == symbolize_state(state).key
             if mode == "eviction":
-                st0 = fill_normal(new_pool(pol), m)
+                st0, _ = fill_normal(new_pool(pol), m)
                 verdict = check_eviction(st0, state, cfg)
             else:
                 _, verdict = probe_declines(state, m,

@@ -15,10 +15,14 @@ No linter ships with the project, so this walks syntax trees:
 - a field, method or enum member of a package class, dunders apart,
   must be read as an attribute somewhere in ``src/``, ``tests/`` or
   ``perfbench/``.  Attributes are matched by name alone, whatever
-  object they are read from.
+  object they are read from;
+- every function the benchmark's span tracer wraps
+  (``perfbench/spans.py``) is defined under its traced name.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -186,3 +190,23 @@ def test_dead_member_checker_flags_an_unread_member(tmp_path):
 
 def test_every_class_member_is_read():
     assert dead_members(MODULES, READERS) == []
+
+
+def test_every_traced_span_names_a_package_function():
+    # Renaming a traced name, such as `symbolize_state`, would otherwise
+    # only print a "not traced" line in the benchmark.  The tracer looks
+    # a name up in its module's or class's own namespace.
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SPANS
+    unresolved = []
+    for span, modname, attr, _ in spans.SPANS:
+        owner = importlib.import_module(modname)
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+        if not callable(getattr(owner, "__dict__", {}).get(name)):
+            unresolved.append(span)
+    assert unresolved == []

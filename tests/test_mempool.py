@@ -593,15 +593,16 @@ def test_build_block_raises_under_a_mark():
 
 def plain_fill_normal(state, count):
     """Reference: `fill_normal` as the plain loop that admits every
-    arrival."""
-    out = []
+    arrival.  Returns the arrivals offered and those declined."""
+    offered, declined = [], []
     for _ in range(count):
         state._benign_auto += 1
         tx = Transaction(benign(state._benign_auto), nonce=1,
                          value=NORMAL_VALUE, gas_price=NORMAL_PRICE)
-        state.admit_mut(tx)
-        out.append(tx)
-    return out
+        if not state.admit_mut(tx).admitted:
+            declined.append(tx)
+        offered.append(tx)
+    return offered, declined
 
 
 # Arrivals come from SENDERS and from the next two senders a fill offers

@@ -45,7 +45,7 @@ def test_future_entries_are_not_chargeable():
 
 def test_asym_e_zero_for_all_future_pool():
     state = new_pool(policy_preset("geth-legacy-reduced(3)"))
-    st0 = fill_normal(state, 3)
+    st0, _ = fill_normal(state, 3)
     for i in range(1, 4):
         assert state.admit_mut(Transaction(adversarial(i), 2, 1, 7)).admitted
     assert asym_E(st0, state) == 0
@@ -55,7 +55,7 @@ def test_asym_e_zero_for_all_future_pool():
 
 def test_eviction_not_triggered_when_benign_survive():
     state = new_pool(policy_preset("geth-legacy-reduced(3)"))
-    st0 = fill_normal(state, 3)
+    st0, _ = fill_normal(state, 3)
     state.admit_mut(Transaction(adversarial(1), 2, 1, 7))
     verdict = check_eviction(st0, state, OracleConfig())
     assert not verdict.triggered  # an initial resident survived
@@ -65,7 +65,7 @@ def test_eviction_threshold_is_strict():
     # Admitted adversarial pendings stay chargeable, so the ratio can
     # exceed 1; the trigger needs strict asym < epsilon.
     state = new_pool(policy_preset("geth-legacy-reduced(6)"))
-    st0 = fill_normal(state, 6)
+    st0, _ = fill_normal(state, 6)
     for i in range(1, 3):
         assert state.admit_mut(Transaction(adversarial(i), 1, 1, 6)).admitted
     assert asym_E(st0, state) == Fraction(4, 3)
@@ -136,7 +136,7 @@ ORACLE_OPS = st.lists(st.one_of(
               ("adv", 2, 1, 1, 4)])
 def test_evicted_all_equals_check_eviction(preset, ops):
     state = new_pool(policy_preset(preset))
-    st0 = fill_normal(state, state.policy.capacity)
+    st0, _ = fill_normal(state, state.policy.capacity)
     cfg = OracleConfig()
     for op in ops:
         if op[0] == "block":

@@ -78,8 +78,8 @@ def test_symbolization_ignores_identity_offsets(preset, choices, boff, aoff):
     s1, _, txs, o1 = execute_input(pol, seq, pol.capacity)
     s2, o2 = admit_all(pol, relabel(txs, pol.capacity, boff, aoff),
                        pol.capacity)
-    assert symbolize_state(s1).key() == symbolize_state(s2).key() \
-        == symbolize_state(base_state).key()
+    assert symbolize_state(s1).key == symbolize_state(s2).key \
+        == symbolize_state(base_state).key
     assert [o.kind for o in o1] == [o.kind for o in o2]
 
 
@@ -103,21 +103,18 @@ def test_admission_trichotomy_and_capacity(preset, txs, prefill):
     state = new_pool(pol)
     fill_normal(state, prefill)
     for tx in txs:
-        slots = state.to_json()["slots"]
-        declined = list(state.declined)
+        before = (state.to_json(), state.seq, state.future_count)
         out = state.admit_mut(tx)
         # exactly one of: admitted (no reason) / declined (with reason)
         assert out.admitted == (out.reason is None)
         assert out.admitted == out.kind.startswith("Admitted")
         assert len(state) <= pol.capacity
         assert state.future_count <= pol.future_quota
-        # A decline changes nothing but the decline log, which records it
-        # once; benign probes and the XT6 rehearsal rely on this.
-        if out.admitted:
-            assert state.declined == declined
-        else:
-            assert state.to_json()["slots"] == slots
-            assert state.declined == declined + [(tx, out.reason)]
+        # A decline changes nothing; benign probes and the XT6 rehearsal
+        # rely on this.
+        if not out.admitted:
+            assert (state.to_json(), state.seq, state.future_count) == \
+                before
     # resident nonces are unique per sender
     seen = set()
     for e in state.entries.values():
@@ -162,7 +159,7 @@ def test_opcost_bounded_by_cost(preset, choices, fill):
     pol = policy_preset(preset)
     _, state = drive(pol, choices, fill=fill)
     sym = symbolize_state(state)
-    assert set(sym.key()) <= set("NFPCLE")
+    assert set(sym.key) <= set("NFPCLE")
     assert 0 <= opcost(sym) <= cost(sym)
 
 

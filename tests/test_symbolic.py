@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mpfuzz.mempool import (PRESET_FAMILIES, fill_normal, new_pool,
-                            policy_preset, probe_declines)
+from mpfuzz.mempool import (NORMAL_PRICE, PRESET_FAMILIES, fill_normal,
+                            new_pool, policy_preset, probe_declines)
 from mpfuzz.oracle import chargeable_fees
 from mpfuzz.symbolic import (InfeasibleSymbol, InstantiationContext,
-                             PoolSummary, SymbolizedState, SymbolizedTx,
+                             PoolSummary, SymbolizedTx,
                              concretize, cost, enumerate_mutations,
                              execute_input, instantiate, opcost, parse_input,
                              ranked_senders, serialize_input,
@@ -18,7 +18,8 @@ from test_properties import BIG, admit_all, relabel
 
 def plain_symbolize_state(state):
     """The whole-pool walk that `symbolize_state` replaced: the reference
-    for the per-sender summaries."""
+    for the per-sender summaries.  Returns the state's (symbol, price)
+    slots."""
     n_slots = []
     f_slots = []
     groups = []
@@ -60,7 +61,41 @@ def plain_symbolize_state(state):
     for _, _, syms in groups:
         slots.extend(syms)
     slots.extend(("E", 0) for _ in range(state.policy.capacity - len(slots)))
-    return SymbolizedState(tuple(slots), state.policy.capacity)
+    return tuple(slots)
+
+
+def plain_cost(slots, m):
+    """Reference `cost`: the slot loop over the reference's slots."""
+    total = 0
+    for sym, price in slots:
+        if sym == "N":
+            total += NORMAL_PRICE
+        elif sym == "P":
+            total += price
+        elif sym == "C":
+            total += m + 4
+        # F, L, E are never chargeable.
+    return total
+
+
+def plain_opcost(slots, m):
+    """Reference `opcost`: the slot loop over the reference's slots."""
+    total = 0
+    for sym, price in slots:
+        if sym == "N":
+            total += NORMAL_PRICE
+        elif sym == "P":
+            total += price
+        elif sym == "C":
+            total += 1
+        # F, L, E stay 0.
+    return total
+
+
+def plain_view(slots):
+    """The reference's (key, summed P price)."""
+    return ("".join(sym for sym, _ in slots),
+            sum(price for sym, price in slots if sym == "P"))
 
 
 def run(policy_name, text, m=None):
@@ -84,7 +119,7 @@ def test_symbolize_full_benign_pool():
     pol = policy_preset("geth-legacy-reduced(6)")
     state = new_pool(pol)
     fill_normal(state, 6)
-    assert symbolize_state(state).key() == "NNNNNN"
+    assert symbolize_state(state).key == "NNNNNN"
 
 
 def test_symbolize_orders_groups_by_parent_price():
@@ -92,7 +127,7 @@ def test_symbolize_orders_groups_by_parent_price():
     # ascending by parent price, parent before children.
     state, _, _, _ = run("geth-legacy-reduced(6)", "P P0 C2")
     sym = symbolize_state(state)
-    assert sym.key() == "NNNPCP"
+    assert sym.key == "NNNPCP"
 
 
 def test_symbolize_marks_latent_child():
@@ -102,14 +137,14 @@ def test_symbolize_marks_latent_child():
     a = adversarial(1)
     assert state.admit_mut(Transaction(a, 1, 1, 4)).admitted
     assert state.admit_mut(Transaction(a, 2, 3, 7)).admitted
-    assert symbolize_state(state).key() == "PLE"
+    assert symbolize_state(state).key == "PLE"
 
 
 def test_empty_slots_symbolize_as_e_padding():
     pol = policy_preset("geth-legacy-reduced(3)")
     state = new_pool(pol)
     fill_normal(state, 2)
-    assert symbolize_state(state).key() == "NNE"
+    assert symbolize_state(state).key == "NNE"
 
 
 def test_cost_and_opcost_examples():
@@ -126,7 +161,7 @@ def test_cost_and_opcost_examples():
         seq = parse_input(text) if text else ()
         state, _, _, _ = execute_input(pol, seq, fill_count=3)
         sym = symbolize_state(state)
-        assert sym.key() == key, text
+        assert sym.key == key, text
         assert cost(sym) == c, text
         assert opcost(sym) == oc, text
 
@@ -179,7 +214,7 @@ def test_offsets_do_not_change_symbolization():
     seq = parse_input("P P0 C1 F")
     s1, _, txs, o1 = execute_input(pol, seq, 6)
     s2, o2 = admit_all(pol, relabel(txs, 6, 40, 7), 6)
-    assert symbolize_state(s1).key() == symbolize_state(s2).key()
+    assert symbolize_state(s1).key == symbolize_state(s2).key
     assert [o.kind for o in o1] == [o.kind for o in o2]
 
 
@@ -241,6 +276,29 @@ def test_candidates_are_the_variants_instantiate_accepts(family, m, fill,
         state.admit_mut(instantiate(cands[pick % len(cands)], state, ctx))
 
 
+@BIG
+@given(family=st.sampled_from(PRESET_FAMILIES), m=st.integers(3, 6),
+       fill=st.booleans(),
+       picks=st.lists(st.integers(0, 2 ** 16), max_size=12))
+def test_symbolized_state_equals_the_slot_reference(family, m, fill, picks):
+    # A walk of executed mutations from an eviction or a locking root; at
+    # each pool the key, the N count and both costs read from the key and
+    # the summed parent price equal the slot loops over the reference.
+    pol = policy_preset(f"{family}-reduced({m})")
+    state, ctx, _, _ = execute_input(pol, (), m if fill else 0)
+    for pick in picks + [None]:
+        sym = symbolize_state(state)
+        slots = plain_symbolize_state(state)
+        assert sym.key == plain_view(slots)[0]
+        assert sym.count("N") == sum(1 for s, _ in slots if s == "N")
+        assert cost(sym) == plain_cost(slots, m)
+        assert opcost(sym) == plain_opcost(slots, m)
+        cands = enumerate_mutations(state, ctx)
+        if pick is None or not cands:
+            break
+        state.admit_mut(instantiate(cands[pick % len(cands)][0], state, ctx))
+
+
 def sender_view(state):
     """Per sender: its entries and account key.  The chain cache is left
     out: filling it changes no entry, so `touched_since` does not name
@@ -265,11 +323,12 @@ def check_summary(state, mark, summary, view):
     merged = dict(summary.senders)
     merged.update(fresh)
     # A sender with no entry left summarizes to no slots and no fee.
-    assert {s: x for s, x in merged.items() if x != ((), (), None, 0)} == \
+    assert {s: x for s, x in merged.items() if x != (0, 0, None, 0)} == \
         {s: summarize_sender(state, s) for s in state.by_sender}
-    plain = plain_symbolize_state(state)
-    assert summary.key(fresh) == plain.key()
-    assert summary.state(fresh) == plain == symbolize_state(state)
+    changed = summary.state(fresh)
+    assert changed == symbolize_state(state)
+    assert (changed.key, changed.parent_prices) == \
+        plain_view(plain_symbolize_state(state))
     assert summary.fee(fresh) == chargeable_fees(state)
 
 

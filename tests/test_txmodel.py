@@ -1,5 +1,7 @@
 """Transaction model: addresses, validity classes, chains."""
 
+import pytest
+
 from mpfuzz.txmodel import (GAS_PER_TX, Address, Role, Transaction,
                             ValidityClass, WorldState, adversarial, benign)
 from test_mempool import classify, consecutive_chain
@@ -41,6 +43,26 @@ def test_transaction_fee_and_key():
 def test_transaction_json_roundtrip():
     tx = Transaction(adversarial(7), 4, 9, 12)
     assert Transaction.from_json(tx.to_json()) == tx
+
+
+# An exploit file's transaction record whose integer fields are a float,
+# a bool and a string; each must be refused, not coerced with int().
+BAD_TX_RECORD = {"sender": {"role": "benign", "index": 2.7}, "nonce": 1.9,
+                 "value": True, "gas_price": "5"}
+
+
+@pytest.mark.parametrize("field", ["index", "nonce", "value", "gas_price"])
+def test_transaction_from_json_rejects_a_value_of_the_wrong_type(field):
+    good = Transaction(benign(2), 1, 1, 5).to_json()
+    record = dict(good, sender=dict(good["sender"]))
+    if field == "index":
+        record["sender"]["index"] = BAD_TX_RECORD["sender"]["index"]
+    else:
+        record[field] = BAD_TX_RECORD[field]
+    with pytest.raises(ValueError, match=f"field {field} "):
+        Transaction.from_json(record)
+    with pytest.raises(ValueError, match="field index "):
+        Transaction.from_json(BAD_TX_RECORD)
 
 
 def test_world_default_balance():
