@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 from .fuzzer import run_fuzzer
 from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
 from .oracle import OracleConfig, check_eviction, evicted_all
-from .txmodel import Role, Transaction, adversarial
+from .txmodel import Transaction, adversarial
 
 BASELINE_KINDS = ("B1", "B2", "B3", "B4")
 
@@ -114,15 +114,8 @@ def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
 # -- B2/B3: concrete-state coverage ------------------------------------------
 
 def _state_hash(state: MempoolState) -> Tuple:
-    """The resident set: one-to-one with the sorted (`Transaction.key()`,
-    `is_future`) pairs, without reading the `Role` enum's value."""
-    key = []
-    for e in state.entries.values():
-        tx = e.tx
-        key.append((tx.sender.index, tx.sender.role is Role.BENIGN,
-                    tx.nonce, tx.value, tx.gas_price, e.is_future))
-    key.sort()
-    return tuple(key)
+    """The resident set, as its sorted (transaction, `is_future`) pairs."""
+    return tuple(sorted((e.tx, e.is_future) for e in state.entries.values()))
 
 
 def _invalid_count(state: MempoolState) -> int:

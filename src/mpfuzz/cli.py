@@ -23,6 +23,7 @@ from .mempool import (MempoolPolicy, PRESET_FAMILIES, VULNERABILITY_MATRIX,
                       policy_preset)
 from .oracle import OracleConfig
 from .fuzzer import run_fuzzer
+from .symbolic import serialize_input
 
 
 # The keys a `fuzz --config` file may hold.
@@ -96,7 +97,7 @@ def _load_exploit(path: str) -> Exploit:
     exploit record of this version, is a usage error (exit 2)."""
     try:
         return Exploit.load(path)
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise click.UsageError(f"{path} is not a valid exploit file: {exc}")
 
 
@@ -163,8 +164,7 @@ def fuzz(config_path, preset, epsilon, lam, out_dir,
         "mutations": result.mutations,
         "states_covered": result.states_covered,
         "exploits": len(result.exploits),
-        "exploit_inputs": [" ".join(t.serialize()
-                                    for t in ex.symbol_sequence)
+        "exploit_inputs": [serialize_input(ex.symbol_sequence)
                            for ex in result.exploits],
         "mode_stats": result.mode_stats,
     })

@@ -659,10 +659,8 @@ class MempoolState:
         return {
             "policy": self.policy.name,
             "slots": [dict(tx=e.tx.to_json(), future=e.is_future)
-                      for e in sorted(self.entries.values(),
-                                      key=lambda e: (e.tx.sender.role.value,
-                                                     e.tx.sender.index,
-                                                     e.tx.nonce))],
+                      for e in sorted(self.entries.values(), key=lambda e:
+                                      (e.tx.sender, e.tx.nonce))],
         }
 
     def canonical(self) -> str:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .mempool import NORMAL_PRICE, MempoolState
-from .txmodel import GAS_PER_TX, Role, Transaction
+from .txmodel import GAS_PER_TX, Role, Transaction, typed_field
 
 DEFAULT_EPSILON = Fraction(36, 100)
 DEFAULT_LAMBDA = Fraction(46, 100)
@@ -88,10 +88,17 @@ class OracleVerdict:
 
     @staticmethod
     def from_json(obj: dict) -> "OracleVerdict":
+        """The verdict of a `to_json` record.  The flags must be JSON
+        booleans and the kind Eviction or Locking, or ValueError names
+        the field."""
+        if obj["kind"] not in ("Eviction", "Locking"):
+            raise ValueError(f"field kind must be Eviction or Locking, "
+                             f"got {obj['kind']!r}")
         num, den = obj["asym"].split("/")
-        return OracleVerdict(bool(obj["triggered"]), obj["kind"],
+        return OracleVerdict(typed_field(obj, "triggered", bool), obj["kind"],
                              Fraction(int(num), int(den)),
-                             bool(obj["damage_ok"]), bool(obj["cost_ok"]))
+                             typed_field(obj, "damage_ok", bool),
+                             typed_field(obj, "cost_ok", bool))
 
 
 def total_fees(txs: Iterable[Transaction]) -> int:

@@ -231,17 +231,16 @@ def ranked_senders(state: MempoolState
                    ) -> List[Tuple[Address, List[PoolEntry]]]:
     """Adversarial senders with a resident pending parent, each with its
     pending chain, ranked by descending parent price (ties by sender
-    index)."""
+    index).  No two senders are equal, so no two chains are compared."""
     ranked = []
     for sender in state.by_sender:
         if sender.role is not Role.ADVERSARIAL:
             continue
         chain = state.sender_chain_entries(sender)
         if chain:
-            ranked.append((-chain[0].tx.gas_price, sender.index, sender,
-                           chain))
-    ranked.sort(key=lambda t: (t[0], t[1]))
-    return [(s, chain) for _, _, s, chain in ranked]
+            ranked.append((-chain[0].tx.gas_price, sender, chain))
+    ranked.sort()
+    return [(s, chain) for _, s, chain in ranked]
 
 
 def concretize(symtx: SymbolizedTx, state: MempoolState,

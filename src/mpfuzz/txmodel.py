@@ -2,6 +2,9 @@
 
 Transactions are plain transfers with a fixed gas allowance.  Values and
 prices are small integers so that pool-wide fee arithmetic stays exact.
+An address and a transaction are `NamedTuple`s of bools and ints, so
+they hash, compare and sort in C, with the same hash in every process.
+The collector still tracks them: CPython untracks only exact tuples.
 """
 
 from __future__ import annotations
@@ -13,18 +16,22 @@ from typing import Dict, NamedTuple
 GAS_PER_TX = 21000
 
 
-class Role(enum.Enum):
-    BENIGN = "benign"
-    ADVERSARIAL = "adversarial"
+class Role:
+    """A sender's namespace: the bool an `Address` holds."""
+    ADVERSARIAL = False
+    BENIGN = True
+
+
+ROLE_NAMES = ("adversarial", "benign")  # a role's JSON name, by role
 
 
 class Address(NamedTuple):
     """A sender identity, partitioned into benign and adversarial namespaces.
 
-    Its hash and equality are those of the tuple (role, index).
+    It is the tuple (role, index), so adversarial senders sort first.
     """
 
-    role: Role
+    role: bool
     index: int
 
     def short(self) -> str:
@@ -32,19 +39,25 @@ class Address(NamedTuple):
         return f"{tag}{self.index}"
 
     def to_json(self) -> dict:
-        return {"role": self.role.value, "index": self.index}
+        return {"role": ROLE_NAMES[self.role], "index": self.index}
 
     @staticmethod
     def from_json(obj: dict) -> "Address":
         """The address of a `to_json` record; see `Transaction.from_json`
-        for what a bad one raises."""
-        return Address(Role(obj["role"]), _int_field(obj, "index"))
+        for what a bad one raises.  The role is one of `ROLE_NAMES`."""
+        if obj["role"] not in ROLE_NAMES:
+            raise ValueError(f"field role must be adversarial or benign, "
+                             f"got {obj['role']!r}")
+        return Address(obj["role"] == "benign", typed_field(obj, "index", int))
 
 
-def _int_field(obj: dict, name: str) -> int:
+def typed_field(obj: dict, name: str, typ: type):
+    """`obj[name]`, which must already be a `typ`: neither `true` nor
+    `2.7` is an int, and `"false"` is no bool."""
     value = obj[name]
-    if type(value) is not int:
-        raise ValueError(f"field {name} must be int, got {value!r}")
+    if type(value) is not typ:
+        raise ValueError(f"field {name} must be {typ.__name__}, "
+                         f"got {value!r}")
     return value
 
 
@@ -69,7 +82,7 @@ class Transaction(NamedTuple):
         return self.gas_price * GAS_PER_TX
 
     def key(self) -> tuple:
-        return (self.sender.role.value, self.sender.index, self.nonce,
+        return (self.sender.role, self.sender.index, self.nonce,
                 self.value, self.gas_price)
 
     def to_json(self) -> dict:
@@ -87,8 +100,9 @@ class Transaction(NamedTuple):
         a bad value raises ValueError naming the field, a missing one
         KeyError."""
         return Transaction(Address.from_json(obj["sender"]),
-                           _int_field(obj, "nonce"), _int_field(obj, "value"),
-                           _int_field(obj, "gas_price"))
+                           typed_field(obj, "nonce", int),
+                           typed_field(obj, "value", int),
+                           typed_field(obj, "gas_price", int))
 
     def __repr__(self) -> str:
         return (f"Tx({self.sender.short()},n{self.nonce},"

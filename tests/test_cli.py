@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -58,6 +60,58 @@ def test_fuzz_outputs_are_reproducible(tmp_path):
         outs.append({f: open(os.path.join(out, f), "rb").read()
                      for f in sorted(os.listdir(out))})
     assert outs[0] == outs[1]
+
+
+# Each command of a small campaign, run in order in one interpreter; the
+# last line printed is the hash of an address.
+HASH_SEED_RUN = """
+from mpfuzz.cli import main
+from mpfuzz.txmodel import benign
+for args in [
+    ["fuzz", "--preset", "geth-legacy-reduced(3)", "--out", "fuzz-geth"],
+    ["fuzz", "--preset", "nethermind-legacy-reduced(3)", "--no-cache",
+     "--out", "fuzz-nethermind"],
+    ["eval", "--pattern", "XT1", "--preset", "geth-legacy-reduced(6)",
+     "--out", "xt1.json"],
+    ["eval", "--pattern", "XT8", "--preset", "geth-1.11-reduced(6)",
+     "--out", "xt8.json"],
+    ["compare", "--repeats", "2", "--budget-mutations", "3000",
+     "--out", "compare.csv"],
+]:
+    main(args, standalone_mode=False)
+print(hash(benign(1)))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Python salts str hashes per process, so a set or dict order that
+    # reached an output would differ between these two runs.  Identities
+    # hash as tuples of ints and bools, which no salt changes.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    runs = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        runs.append((cwd, subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_RUN], cwd=cwd, env=env,
+            stdout=subprocess.PIPE, text=True)))
+    outputs = []
+    for cwd, proc in runs:
+        stdout, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        assert len(files) > 10
+        *console, address_hash = stdout.splitlines()
+        outputs.append((console, files, address_hash))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
+    assert outputs[0][2] == outputs[1][2]
 
 
 def test_fuzz_has_no_seed_option(tmp_path):
@@ -391,12 +445,30 @@ def malformed(record, how):
         record["version"] = 2
     elif how == "missing":
         del record["verdict"]
-    else:
+    elif how == "type":
         record["concrete_txs"][0] = BAD_TX_RECORD
+    elif how == "flag":
+        record["verdict"]["triggered"] = "false"
+    elif how == "verdict-kind":
+        record["verdict"]["kind"] = 7
+    elif how == "kind":
+        record["kind"] = "Locking"
+    elif how == "asym":
+        record["verdict"]["asym"] = "1/0"
+    else:
+        record["pattern"] = "XT10"
     return json.dumps(record)
 
 
-@pytest.mark.parametrize("how", ["json", "version", "missing", "type"])
+# What the usage error names, for a broken field.
+MALFORMED_FIELD = {"type": "field index ", "flag": "field triggered ",
+                   "verdict-kind": "field kind ", "kind": "field kind ",
+                   "pattern": "field pattern "}
+
+
+@pytest.mark.parametrize("how", ["json", "version", "missing", "type",
+                                 "flag", "verdict-kind", "kind", "asym",
+                                 "pattern"])
 @pytest.mark.parametrize("command", ["extend", "replay"])
 def test_malformed_exploit_file_is_a_usage_error(tmp_path, command, how):
     with open(saved_exploit(tmp_path)) as f:
@@ -412,7 +484,6 @@ def test_malformed_exploit_file_is_a_usage_error(tmp_path, command, how):
     res = CliRunner().invoke(main, args + ["--out", out])
     assert res.exit_code == 2, res.output
     assert "not a valid exploit file" in res.output
-    if how == "type":
-        assert "field index " in res.output
+    assert MALFORMED_FIELD.get(how, "") in res.output
     assert "Traceback" not in res.output
     assert not os.path.exists(out)

@@ -164,7 +164,12 @@ def members(tree):
 
 def dead_members(modules, readers):
     """(module, class, name) of each class member in `modules` that no
-    file of `readers` reads as an attribute."""
+    file of `readers` reads as an attribute.
+
+    It matches attribute names only, not the type of the object read: a
+    dead member whose name a live member of any class shares, such as
+    `key`, `to_json`, `kind` or `count`, is never flagged.  Telling the
+    two apart would need each reader's type."""
     read = {node.attr for p in readers
             for node in ast.walk(ast.parse(p.read_text()))
             if isinstance(node, ast.Attribute) and

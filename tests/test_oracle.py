@@ -94,13 +94,14 @@ def test_locking_requires_all_probes_declined_by_adversaries():
 
 
 def test_verdict_json_roundtrip():
-    v = OracleVerdict(True, "eviction", Fraction(1, 8), True, True)
+    v = OracleVerdict(True, "Eviction", Fraction(1, 8), True, True)
     assert OracleVerdict.from_json(v.to_json()).asym == Fraction(1, 8)
+    assert OracleVerdict.from_json(v.to_json()) == v
 
 
 def test_classify_tp_fp():
-    hit = OracleVerdict(True, "eviction", Fraction(0), True, True)
-    miss = OracleVerdict(False, "eviction", Fraction(1), False, True)
+    hit = OracleVerdict(True, "Eviction", Fraction(0), True, True)
+    miss = OracleVerdict(False, "Eviction", Fraction(1), False, True)
     assert classify_tp_fp(hit, hit) == "TruePositive"
     assert classify_tp_fp(hit, miss) == "FalsePositive"
 

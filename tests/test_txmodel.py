@@ -16,7 +16,7 @@ def test_address_roles_and_short():
 
 
 def test_address_hash_is_the_tuple_hash():
-    for role in Role:
+    for role in (Role.ADVERSARIAL, Role.BENIGN):
         for index in (0, 1, 7, 65536):
             assert hash(Address(role, index)) == hash((role, index))
     assert Address(Role.BENIGN, 3) == benign(3)
@@ -43,6 +43,14 @@ def test_transaction_fee_and_key():
 def test_transaction_json_roundtrip():
     tx = Transaction(adversarial(7), 4, 9, 12)
     assert Transaction.from_json(tx.to_json()) == tx
+
+
+def test_address_json_keeps_the_role_names():
+    assert benign(2).to_json() == {"role": "benign", "index": 2}
+    assert adversarial(2).to_json() == {"role": "adversarial", "index": 2}
+    for role in ("Benign", "BENIGN", True, 1, None, ["benign"]):
+        with pytest.raises(ValueError, match="field role "):
+            Address.from_json({"role": role, "index": 2})
 
 
 # An exploit file's transaction record whose integer fields are a float,
