@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -86,28 +87,30 @@ def _run_symbolized(kind: str, policy: MempoolPolicy,
 
 def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
             budget: int, rng_seed: int) -> BaselineResult:
-    """Random byte strings, 8 bytes per transaction, no feedback."""
+    """Random byte strings, 8 bytes per transaction, no feedback.
+
+    Each input runs from the benign-filled root under a mark and is
+    rolled back.  Only an admitted arrival is judged.  A declined one
+    leaves the pool as it was: the root, which holds every initial
+    resident and cannot trigger, or the pool of the input's last
+    admission, which was judged untriggered then."""
     rng = random.Random(rng_seed)
-    m = policy.capacity
+    root = new_pool(policy)
+    st0, _ = fill_normal(root, policy.capacity)
     mutations = 0
     while mutations < budget:
         raw = rng.randbytes(8 * B1_TXS_PER_INPUT)
-        state = new_pool(policy)
-        st0, _ = fill_normal(state, m)
-        for i in range(B1_TXS_PER_INPUT):
+        mark = root.mark()
+        for sender, nonce, value, price in struct.iter_unpack(">HHHH", raw):
             if mutations >= budget:
                 break
-            chunk = raw[8 * i:8 * (i + 1)]
-            sender = int.from_bytes(chunk[0:2], "big") % 65536
-            nonce = max(1, int.from_bytes(chunk[2:4], "big"))
-            value = int.from_bytes(chunk[4:6], "big")
-            price = int.from_bytes(chunk[6:8], "big")
             mutations += 1
-            state.admit_mut(Transaction(adversarial(sender + 1), nonce,
-                                        value, price))
-            if evicted_all(st0, state) and \
-                    check_eviction(st0, state, cfg).triggered:
+            tx = Transaction(adversarial(sender + 1), max(1, nonce), value,
+                             price)
+            if root.admit_mut(tx).admitted and evicted_all(st0, root) and \
+                    check_eviction(st0, root, cfg).triggered:
                 return BaselineResult("B1", True, mutations, mutations)
+        root.rollback(mark)
     return BaselineResult("B1", False, None, mutations)
 
 
@@ -119,8 +122,8 @@ def _state_hash(state: MempoolState) -> Tuple:
 
 
 def _invalid_count(state: MempoolState) -> int:
-    includable = {id(e) for e in state.includable_entries()}
-    return sum(1 for e in state.entries.values() if id(e) not in includable)
+    """Residents outside the block-includable chain prefixes."""
+    return len(state) - len(state.includable_entries())
 
 
 def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,

@@ -8,16 +8,16 @@ damage modes: an eviction pass starting from a benign-filled pool and a
 locking pass starting from an empty one with benign probes appended to
 every candidate timeline.
 
-Selection is a lazy min-heap on (opcost, insertion order).  This picks
-the seed of highest energy, earliest added on a tie, as a scan of the
-energies would (``energy`` in ``tests/test_fuzzer.py`` is that scan's
-ranking): a seed's opcost never changes, the least opcost is the
-greatest energy (opcost 0 has energy inf and sorts first), and a seed
-only leaves the ranking once its candidates, tried strictly in order,
-run out.  A seed never regains an untried candidate, so exhausted
-seeds are dropped only when they reach the top.  Each seed carries the
-concrete transactions that built its state, so an exploit's transactions
-are its seed's plus the last one, without re-executing its input.
+Selection pops a min-heap on (opcost, insertion order): the seed of
+highest energy, earliest added on a tie, as a scan of the energies
+would pick (``energy`` in ``tests/test_fuzzer.py``).  The least opcost
+is the greatest energy, opcost 0 sorts first as energy inf, and a seed
+with no candidates has energy 0 and is never pushed.  A popped seed is
+never wanted again: all its candidates run before the next selection,
+and each early exit (the mutation budget, `budget_seconds`,
+`stop_on_first`) ends the mode.  Each seed carries the concrete
+transactions that built its state, so an exploit's transactions are
+its seed's plus the last one, without re-executing its input.
 
 A symbolized state counts as covered once feedback has judged it: it was
 reached by an admitted mutation and the promisingness gate either kept it
@@ -123,43 +123,33 @@ class Seed:
     sym_state: SymbolizedState
     concrete: MempoolState
     ctx: InstantiationContext
-    order: int
     # Each candidate with the transaction it concretizes to.
     candidates: Tuple[Tuple[SymbolizedTx, Transaction], ...] = ()
-    next_candidate: int = 0
     txs: Tuple[Transaction, ...] = ()
     decline_probes: int = 0
-
-    def exhausted(self) -> bool:
-        return self.next_candidate >= len(self.candidates)
 
 
 class Corpus:
     def __init__(self):
         self.covered: Set[str] = set()
-        # (opcost, order, seed) of every seed added with a candidate left;
-        # exhausted seeds are popped when they reach the top.
+        # (opcost, insertion counter, seed) of each unselected seed.
         self._heap: List[Tuple[int, int, Seed]] = []
-        self._next_order = 0
+        self._added = 0
 
     def add(self, seed: Seed) -> None:
         key = seed.sym_state.key
         if key in self.covered:
             raise ValueError(f"state already covered: {key}")
         self.covered.add(key)
-        seed.order = self._next_order
-        self._next_order += 1
-        if not seed.exhausted():
+        if seed.candidates:
             heapq.heappush(self._heap,
-                           (opcost(seed.sym_state), seed.order, seed))
+                           (opcost(seed.sym_state), self._added, seed))
+            self._added += 1
 
     def select(self) -> Optional[Seed]:
-        """The seed of highest energy, earliest added on a tie; None when
-        every seed is exhausted."""
-        heap = self._heap
-        while heap and heap[0][2].exhausted():
-            heapq.heappop(heap)
-        return heap[0][2] if heap else None
+        """Take the seed of highest energy, earliest added on a tie, out
+        of the corpus; None when no seed with candidates is left."""
+        return heapq.heappop(self._heap)[2] if self._heap else None
 
 
 @dataclass
@@ -221,17 +211,6 @@ def _audit_locking(pool: MempoolState, m: int, judge_locking,
     if ref.triggered != (verdict is not None and verdict.triggered):
         raise AssertionError("locking gate diverged from the plain probe "
                              "and verdict")
-
-
-def _replayed(first: tuple) -> tuple:
-    """The result a repeat of `first`'s transaction gets within the same
-    seed.  A judged mutation's result is its logged outcome, its state
-    key, its verdict when that triggered, and whether feedback kept its
-    state as a seed.  A repeat gets the same outcome, key and verdict,
-    and no feedback, because the first judging left its key covered (see
-    the module docstring)."""
-    outcome, key, verdict, _ = first
-    return outcome, key, verdict, False
 
 
 def run_fuzzer(policy: MempoolPolicy,
@@ -301,9 +280,8 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
     corpus = Corpus()
     root_declined, _ = _probe_declines(root_state, m)
     corpus.add(Seed(input=(), sym_state=symbolize_state(root_state),
-                    concrete=root_state, ctx=root_ctx, order=0,
-                    candidates=tuple(enumerate_mutations(root_state,
-                                                         root_ctx)),
+                    concrete=root_state, ctx=root_ctx, candidates=tuple(
+                        enumerate_mutations(root_state, root_ctx)),
                     decline_probes=len(root_declined)))
     judge_locking = partial(check_locking, cfg=cfg)
     outcomes: Dict[str, int] = {}
@@ -321,7 +299,11 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
               cand: SymbolizedTx, tx: Transaction,
               new_input: Tuple[SymbolizedTx, ...]) -> tuple:
         """Admit `tx` into the seed's pool under a mark, judge it, keep
-        its state as a new seed when feedback says so, and roll back."""
+        its state as a new seed when feedback says so, and roll back.
+        The result is the logged outcome, the state key, the verdict if it
+        triggered, and whether feedback kept the state.  A repeat of `tx`
+        in this seed replays it without feedback (see the module
+        docstring): this judging left the key covered."""
         pool = seed.concrete
         mark = pool.mark()
         try:
@@ -371,7 +353,7 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                     ctx.advance(cand)
                     corpus.add(Seed(
                         input=new_input, sym_state=new_sym,
-                        concrete=kept, ctx=ctx, order=0,
+                        concrete=kept, ctx=ctx,
                         candidates=tuple(enumerate_mutations(kept, ctx)),
                         txs=seed.txs + (tx,),
                         decline_probes=len(declined_probes)))
@@ -405,19 +387,17 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
         seed_key = seed.sym_state.key
         summary = PoolSummary(seed.concrete)
         replays: Dict[Transaction, tuple] = {}
-        while not seed.exhausted():
+        for cand, tx in seed.candidates:
             if mutations >= budget_mutations or \
                     time.monotonic() >= deadline:
                 break
-            cand, tx = seed.candidates[seed.next_candidate]
-            seed.next_candidate += 1
             mutations += 1
             new_input = seed.input + (cand,)
             replay = replays.get(tx)
             if replay is None or reexec_audit:
                 result = judge(seed, seed_key, summary, cand, tx, new_input)
                 if replay is None:
-                    replays[tx] = _replayed(result)
+                    replays[tx] = result[:3] + (False,)
                 elif result != replay:
                     raise AssertionError("replayed result diverged from "
                                          "full judging")

@@ -88,17 +88,24 @@ class OracleVerdict:
 
     @staticmethod
     def from_json(obj: dict) -> "OracleVerdict":
-        """The verdict of a `to_json` record.  The flags must be JSON
-        booleans and the kind Eviction or Locking, or ValueError names
-        the field."""
+        """The verdict of a `to_json` record, or ValueError naming the
+        field: the flags are JSON booleans, `triggered` is `damage_ok and
+        cost_ok`, the kind is Eviction or Locking, the asym is not < 0."""
         if obj["kind"] not in ("Eviction", "Locking"):
             raise ValueError(f"field kind must be Eviction or Locking, "
                              f"got {obj['kind']!r}")
         num, den = obj["asym"].split("/")
-        return OracleVerdict(typed_field(obj, "triggered", bool), obj["kind"],
-                             Fraction(int(num), int(den)),
-                             typed_field(obj, "damage_ok", bool),
-                             typed_field(obj, "cost_ok", bool))
+        v = OracleVerdict(typed_field(obj, "triggered", bool), obj["kind"],
+                          Fraction(int(num), int(den)),
+                          typed_field(obj, "damage_ok", bool),
+                          typed_field(obj, "cost_ok", bool))
+        if v.asym < 0:
+            raise ValueError(f"field asym must not be negative, "
+                             f"got {obj['asym']!r}")
+        if v.triggered != (v.damage_ok and v.cost_ok):
+            raise ValueError("field triggered must equal damage_ok and "
+                             "cost_ok")
+        return v
 
 
 def total_fees(txs: Iterable[Transaction]) -> int:

@@ -83,7 +83,7 @@ def test_criterion2_costs_and_energies():
         assert sym.key == key
         assert opcost(sym) == expected_opcost[key]
         seed = Seed(input=seq, sym_state=sym, concrete=state, ctx=ctx,
-                    order=0, candidates=("pending",) if key != "NNN" else ())
+                    candidates=("pending",) if key != "NNN" else ())
         assert energy(seed) == expected_energy[key]
 
 

@@ -455,6 +455,10 @@ def malformed(record, how):
         record["kind"] = "Locking"
     elif how == "asym":
         record["verdict"]["asym"] = "1/0"
+    elif how == "negative-asym":
+        record["verdict"]["asym"] = "-3/8"
+    elif how == "disagreeing-flags":
+        record["verdict"]["damage_ok"] = not record["verdict"]["damage_ok"]
     else:
         record["pattern"] = "XT10"
     return json.dumps(record)
@@ -463,11 +467,13 @@ def malformed(record, how):
 # What the usage error names, for a broken field.
 MALFORMED_FIELD = {"type": "field index ", "flag": "field triggered ",
                    "verdict-kind": "field kind ", "kind": "field kind ",
-                   "pattern": "field pattern "}
+                   "pattern": "field pattern ", "negative-asym": "field asym ",
+                   "disagreeing-flags": "field triggered "}
 
 
 @pytest.mark.parametrize("how", ["json", "version", "missing", "type",
                                  "flag", "verdict-kind", "kind", "asym",
+                                 "negative-asym", "disagreeing-flags",
                                  "pattern"])
 @pytest.mark.parametrize("command", ["extend", "replay"])
 def test_malformed_exploit_file_is_a_usage_error(tmp_path, command, how):

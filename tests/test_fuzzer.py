@@ -1,6 +1,8 @@
 """Search loop: corpus scheduling, feedback, determinism, end to end."""
 
+import dataclasses
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -27,7 +29,7 @@ def make_seed(text=""):
     seq = parse_input(text) if text else ()
     state, ctx, _, _ = execute_input(pol, seq, fill_count=3)
     return Seed(input=seq, sym_state=symbolize_state(state),
-                concrete=state, ctx=ctx, order=0)
+                concrete=state, ctx=ctx)
 
 
 def test_corpus_rejects_duplicate_state_keys():
@@ -39,8 +41,7 @@ def test_corpus_rejects_duplicate_state_keys():
 
 def test_energy_is_inverse_opcost_and_zero_when_exhausted():
     s = make_seed("P")
-    s.candidates = ("x",)
-    s.next_candidate = 1  # nothing left untried
+    s.candidates = ()  # nothing left untried
     assert energy(s) == 0
     s2 = make_seed("P")
     s2.candidates = ("x",)
@@ -59,9 +60,10 @@ def test_selection_prefers_max_energy_then_insertion_order():
 
 
 def energy(seed):
-    """Scheduling energy b/opcost (b = 1), 0 once exhausted: the ranking
-    that ``Corpus.select`` reproduces with its heap."""
-    if seed.exhausted():
+    """Scheduling energy b/opcost (b = 1), 0 for a seed with no
+    candidates: the ranking that ``Corpus.select`` reproduces with its
+    heap."""
+    if not seed.candidates:
         return Fraction(0)
     oc = opcost(seed.sym_state)
     if oc == 0:
@@ -70,16 +72,14 @@ def energy(seed):
 
 
 def scan_select(seeds):
-    """Reference selection: a linear scan for the highest energy, lowest
-    order on a tie, skipping exhausted seeds (energy 0)."""
-    best, best_rank = None, None
+    """Reference selection: a linear scan of `seeds`, in the order they
+    were added, for the highest energy, the earliest on a tie, skipping
+    seeds with no candidates (energy 0)."""
+    best, best_energy = None, 0
     for s in seeds:
         e = energy(s)
-        if e == 0:
-            continue
-        rank = (e, -s.order)
-        if best_rank is None or rank > best_rank:
-            best, best_rank = s, rank
+        if e > best_energy:
+            best, best_energy = s, e
     return best
 
 
@@ -90,7 +90,7 @@ def generated_seed(chain, n_candidates, serial):
     key = "".join("P" if p else "C" for p in chain) + "E" * serial
     sym = SymbolizedState(key, sum(p for p in chain if p),
                           capacity=len(key))
-    return Seed(input=(), sym_state=sym, concrete=None, ctx=None, order=0,
+    return Seed(input=(), sym_state=sym, concrete=None, ctx=None,
                 candidates=tuple(SymbolizedTx("P", k)
                                  for k in range(n_candidates)))
 
@@ -100,30 +100,25 @@ CORPUS_OPS = st.lists(st.one_of(
               st.lists(st.one_of(st.none(), st.integers(4, 7)),
                        max_size=4),
               st.integers(0, 4)),
-    st.tuples(st.just("advance"), st.integers(0, 63)),
-    st.tuples(st.just("advance_selected")),
     st.tuples(st.just("select"))), max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
 @given(CORPUS_OPS)
 def test_heap_selection_equals_linear_scan(ops):
+    # A selection takes its seed out of the corpus, so the scan runs over
+    # the seeds not taken yet.
     corpus = Corpus()
-    seeds = []
-    for op in ops:
+    untaken = []
+    for serial, op in enumerate(ops):
         if op[0] == "add":
-            seed = generated_seed(op[1], op[2], len(seeds))
+            seed = generated_seed(op[1], op[2], serial)
             corpus.add(seed)
-            seeds.append(seed)
-        elif op[0] == "advance" and seeds:
-            seed = seeds[op[1] % len(seeds)]
-            if not seed.exhausted():
-                seed.next_candidate += 1
-        elif op[0] == "advance_selected":
-            seed = corpus.select()
-            if seed is not None:
-                seed.next_candidate += 1
-        assert corpus.select() is scan_select(seeds)
+            untaken.append(seed)
+        else:
+            expected = scan_select(untaken)
+            assert corpus.select() is expected
+            untaken = [s for s in untaken if s is not expected]
 
 
 @pytest.mark.parametrize("preset, mode", [
@@ -284,12 +279,21 @@ def test_replay_equals_full_judging():
 
 
 def test_reexec_audit_checks_replayed_results(monkeypatch):
-    # A replay that changes the state key shows in the log without the
-    # audit, and the audit's full judging of the repeat refuses it.
-    monkeypatch.setattr("mpfuzz.fuzzer._replayed",
-                        lambda first: (first[0], "?", first[2], False))
-    log, _, _ = campaign_record(PRESET_FAMILIES[0], reexec_audit=False)
-    assert '"state": "?"' in log
+    # Each locking verdict is numbered in its asym, so no two judgings
+    # build the same one.  Without the audit, two exploits share a number:
+    # a repeat replayed its first result.  With the audit, the repeat's
+    # full judging differs from that replay and is refused.
+    numbers = itertools.count(1)
+
+    def numbered(end_state, declined, cfg):
+        return dataclasses.replace(check_locking(end_state, declined, cfg),
+                                   asym=Fraction(next(numbers)))
+
+    monkeypatch.setattr("mpfuzz.fuzzer.check_locking", numbered)
+    _, exploits, _ = campaign_record(PRESET_FAMILIES[0], reexec_audit=False)
+    numbered_asyms = Counter(ex["verdict"]["asym"] for ex in exploits
+                             if ex["kind"] == "Locking")
+    assert max(numbered_asyms.values()) > 1
     with pytest.raises(AssertionError, match="replayed result"):
         campaign_record(PRESET_FAMILIES[0], reexec_audit=True)
 
@@ -373,11 +377,24 @@ def test_declined_mutations_leave_the_seed_state(size):
     assert declines > 100
 
 
-def test_mode_stats_count_outcomes_and_say_why_a_mode_stopped():
+def test_mode_stats_count_outcomes_and_say_why_a_mode_stopped(monkeypatch):
     pol = policy_preset(PRESET3)
     cfg = OracleConfig(epsilon=0.0001)
+    # Selection takes its seed out of the corpus: no seed comes back.
+    selected = []
+    select = Corpus.select
+
+    def spy(corpus):
+        seed = select(corpus)
+        if seed is not None:
+            selected.append(seed)
+        return seed
+
+    monkeypatch.setattr(Corpus, "select", spy)
     buf = io.StringIO()
     res = run_fuzzer(pol, cfg, log_stream=buf)
+    assert len(selected) > 1
+    assert len({id(seed) for seed in selected}) == len(selected)
     logged = Counter((rec["mode"], rec["outcome"]) for rec in
                      map(json.loads, buf.getvalue().splitlines()))
     for mode, stats in res.mode_stats.items():
