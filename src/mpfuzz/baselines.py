@@ -132,47 +132,62 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
     """Append-one-transaction search over a concrete value grid.
 
     Coverage is a canonical hash of the resident set.  The frontier is
-    one heap on (priority, mutations at push, state): B2's priority is 0,
-    which makes it FIFO; B3's is minus the count of invalid residents.
-    No two pushes share a mutation count, so no two states are compared.
+    one heap on (priority, mutations at push, path): B2's priority is 0,
+    which makes it FIFO; B3's is minus the count of invalid residents,
+    taken on the child's pool before it is rolled back.
+    No two pushes share a mutation count, so no two paths are compared.
     An empty frontier restarts the search at the root with fresh draws.
 
-    Each child is admitted into its parent's pool under a mark and rolled
-    back; only a child new to coverage is copied.  A declined child is
-    its parent's resident set, which is covered and did not trigger when
-    it was pushed (the root holds every initial resident), so it is
-    neither judged nor hashed.
+    A frontier entry is the path of transactions that led to its state
+    from the benign-filled root, not a copy of the pool.  A pop opens a
+    mark on the root and re-admits the path; each child is admitted
+    under an inner mark and rolled back, and the root is then rolled
+    back to the pop's mark.  The replay is exact.  Admission reads only
+    the entries, the counters, the victim heaps and `_acct_key`, and a
+    rollback restores each of them exactly (a mark copies the heap
+    lists), so the root is the same pool at every pop and each
+    re-admission does what it did when the path was first walked.  The
+    chain cache may differ, but it always equals a fresh walk, and
+    nothing reads the order of `entries`, which a rollback can change.
+
+    A declined child is its parent's resident set, which is covered and
+    did not trigger when it was pushed (the root holds every initial
+    resident), so it is neither judged nor hashed.
     """
     rng = random.Random(rng_seed)
     m = policy.capacity
+    senders = [adversarial(i) for i in range(m + 1)]  # drawn from 1..m
     root = new_pool(policy)
     st0, _ = fill_normal(root, m)
     covered = {_state_hash(root)}
     mutations = 0
-    frontier: List[Tuple[int, int, MempoolState]] = []
+    frontier: List[Tuple[int, int, Tuple[Transaction, ...]]] = []
     while mutations < budget:
-        current = heapq.heappop(frontier)[2] if frontier else root
+        path = heapq.heappop(frontier)[2] if frontier else ()
+        pop = root.mark()
+        for tx in path:
+            root.admit_mut(tx)
         for _ in range(children):
             if mutations >= budget:
                 break
-            tx = Transaction(adversarial(rng.randrange(1, m + 1)),
+            tx = Transaction(senders[rng.randrange(1, m + 1)],
                              rng.randrange(1, m + 1),
                              rng.randrange(1, m + 1),
                              rng.randrange(1, m + 1))
             mutations += 1
-            mark = current.mark()
-            if not current.admit_mut(tx).admitted:
-                current.rollback(mark)
+            mark = root.mark()
+            if not root.admit_mut(tx).admitted:
+                root.rollback(mark)
                 continue
-            if evicted_all(st0, current) and \
-                    check_eviction(st0, current, cfg).triggered:
+            if evicted_all(st0, root) and \
+                    check_eviction(st0, root, cfg).triggered:
                 return BaselineResult(kind, True, mutations, mutations)
-            h = _state_hash(current)
+            h = _state_hash(root)
             if h not in covered:
                 covered.add(h)
-                child = current.clone()
                 heapq.heappush(frontier, (
-                    -_invalid_count(child) if kind == "B3" else 0,
-                    mutations, child))
-            current.rollback(mark)
+                    -_invalid_count(root) if kind == "B3" else 0,
+                    mutations, path + (tx,)))
+            root.rollback(mark)
+        root.rollback(pop)
     return BaselineResult(kind, False, None, mutations)

@@ -1,15 +1,19 @@
 """Reference fuzzers: sanity on a small target with modest budgets."""
 
+import heapq
 import random
 
 import pytest
 
 import mpfuzz.baselines
 from mpfuzz.baselines import (B1_TXS_PER_INPUT, BASELINE_KINDS,
-                              BaselineResult, run_baseline, run_reference)
-from mpfuzz.mempool import fill_normal, new_pool, policy_preset
+                              CHILDREN_PER_SEED, BaselineResult,
+                              _invalid_count, _state_hash, run_baseline,
+                              run_reference)
+from mpfuzz.mempool import MempoolState, fill_normal, new_pool, policy_preset
 from mpfuzz.oracle import OracleConfig, check_eviction, evicted_all
 from mpfuzz.txmodel import Transaction, adversarial
+from test_mempool import check_rolled_back
 
 POL = policy_preset("geth-legacy-reduced(6)")
 CFG = OracleConfig(epsilon=0.2)
@@ -91,6 +95,101 @@ def test_b1_fills_one_pool_per_run(monkeypatch):
     assert calls == [POL.capacity]
 
 
+def plain_concrete(kind, policy, cfg, budget, rng_seed, pops=None):
+    """B2 or B3 in its plain form, the oracle of `run_baseline`: each
+    child new to coverage is cloned into the frontier, and each pop runs
+    its children on that clone.  `pops`, if given, receives a clone of
+    every popped pool as it was popped."""
+    rng = random.Random(rng_seed)
+    m = policy.capacity
+    root = new_pool(policy)
+    st0, _ = fill_normal(root, m)
+    covered = {_state_hash(root)}
+    mutations = 0
+    frontier = []
+    while mutations < budget:
+        current = heapq.heappop(frontier)[2] if frontier else root
+        if pops is not None:
+            pops.append(current.clone())
+        for _ in range(CHILDREN_PER_SEED[kind]):
+            if mutations >= budget:
+                break
+            tx = Transaction(adversarial(rng.randrange(1, m + 1)),
+                             rng.randrange(1, m + 1),
+                             rng.randrange(1, m + 1),
+                             rng.randrange(1, m + 1))
+            mutations += 1
+            mark = current.mark()
+            if not current.admit_mut(tx).admitted:
+                current.rollback(mark)
+                continue
+            if evicted_all(st0, current) and \
+                    check_eviction(st0, current, cfg).triggered:
+                return BaselineResult(kind, True, mutations, mutations)
+            h = _state_hash(current)
+            if h not in covered:
+                covered.add(h)
+                child = current.clone()
+                heapq.heappush(frontier, (
+                    -_invalid_count(child) if kind == "B3" else 0,
+                    mutations, child))
+            current.rollback(mark)
+    return BaselineResult(kind, False, None, mutations)
+
+
+# (preset, epsilon), covering the three eviction rules: geth-legacy
+# evicts the cheapest entry of either kind, openethereum the cheapest
+# childless entry, and both nethermind presets an account's top nonce.
+# Within 30,000 mutations B3 finds on every case and seed, after 321 to
+# 21,002 mutations.  B2 finds on openethereum (seed 1, 25,439) and on
+# nethermind-1.18 (seeds 1 and 2, 24,337 and 11,902), so deep replayed
+# pools are judged triggered as well as not.
+CONCRETE_CASES = [
+    ("geth-legacy-reduced(6)", 0.2),
+    ("openethereum-reduced(6)", 0.99),
+    ("nethermind-legacy-reduced(6)", 0.99),
+    ("nethermind-1.18-reduced(6)", 0.99),
+]
+
+
+@pytest.mark.parametrize("rng_seed", range(3))
+@pytest.mark.parametrize("kind", ("B2", "B3"))
+@pytest.mark.parametrize("preset, epsilon", CONCRETE_CASES)
+def test_concrete_search_equals_its_plain_form(preset, epsilon, kind,
+                                               rng_seed):
+    pol, cfg = policy_preset(preset), OracleConfig(epsilon=epsilon)
+    assert run_baseline(kind, pol, cfg, budget_mutations=30_000,
+                        rng_seed=rng_seed) == \
+        plain_concrete(kind, pol, cfg, 30_000, rng_seed)
+
+
+@pytest.mark.parametrize("kind", ("B2", "B3"))
+@pytest.mark.parametrize("preset, epsilon", CONCRETE_CASES)
+def test_replayed_pools_equal_the_popped_clones(monkeypatch, preset, epsilon,
+                                                kind):
+    # The search opens a mark on the bare root at each pop and one for
+    # each child; the first child mark of a pop sees the replayed pool.
+    pol, cfg = policy_preset(preset), OracleConfig(epsilon=epsilon)
+    pops = []
+    want = plain_concrete(kind, pol, cfg, 10_000, 0, pops=pops)
+    opened = []  # per pop, whether its replayed pool was checked
+    mark = MempoolState.mark
+    probe = Transaction(adversarial(1), 1, 1, 5)
+
+    def spy(self):
+        if not self._marks:
+            opened.append(False)
+        elif len(self._marks) == 1 and not opened[-1]:
+            opened[-1] = True
+            check_rolled_back(self, pops[len(opened) - 1], probe)
+        return mark(self)
+
+    monkeypatch.setattr(MempoolState, "mark", spy)
+    assert run_baseline(kind, pol, cfg, budget_mutations=10_000,
+                        rng_seed=0) == want
+    assert len(opened) == len(pops) and all(opened)
+
+
 def test_reference_finds_quickly():
     res = run_reference(POL, CFG, budget_mutations=10_000)
     assert res.found and res.mutations_to_first < 100
@@ -123,6 +222,14 @@ def test_b1_is_seed_sensitive_but_bounded():
     b = run_baseline("B1", POL, CFG, budget_mutations=2_000, rng_seed=1)
     assert a.mutations_total == b.mutations_total == 2_000
     assert a.found == b.found
+    # One slot at epsilon 0.99: both seeds find, at different counts
+    # (16,756 and 7,196 mutations).
+    pol = policy_preset("geth-legacy-reduced(1)")
+    cfg = OracleConfig(epsilon=0.99)
+    c, d = (run_baseline("B1", pol, cfg, budget_mutations=20_000,
+                         rng_seed=seed) for seed in (0, 1))
+    assert c.found and d.found
+    assert c.mutations_to_first != d.mutations_to_first
 
 
 def test_unknown_kind_raises():
