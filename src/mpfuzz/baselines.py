@@ -3,7 +3,8 @@
 All four share the same pool semantics and oracle; only the search
 strategy differs:
 
-  B1  stateless random byte strings parsed into transaction sequences
+  B1  stateless random byte strings parsed into transaction sequences;
+      an arrival that overdraws its sender is counted but never offered
   B2  concrete-state-coverage fuzzer, FIFO corpus, append-one mutation
   B3  B2 reprioritized by the number of invalid resident transactions
   B4  the symbolized fuzzer with the promisingness gate disabled
@@ -19,7 +20,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .fuzzer import run_fuzzer
 from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
@@ -85,6 +86,14 @@ def _run_symbolized(kind: str, policy: MempoolPolicy,
 
 # -- B1: stateless -----------------------------------------------------------
 
+def _b1_fields(raw: bytes) -> Iterator[Tuple[int, int, int, int]]:
+    """The (sender index, nonce, value, price) of each 8-byte arrival in
+    `raw`: four big-endian 16-bit fields, the sender shifted to start at
+    1 and the nonce raised to at least 1."""
+    for sender, nonce, value, price in struct.iter_unpack(">HHHH", raw):
+        yield sender + 1, max(1, nonce), value, price
+
+
 def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
             budget: int, rng_seed: int) -> BaselineResult:
     """Random byte strings, 8 bytes per transaction, no feedback.
@@ -93,20 +102,31 @@ def _run_b1(policy: MempoolPolicy, cfg: OracleConfig,
     rolled back.  Only an admitted arrival is judged.  A declined one
     leaves the pool as it was: the root, which holds every initial
     resident and cannot trigger, or the pool of the input's last
-    admission, which was judged untriggered then."""
+    admission, which was judged untriggered then.
+
+    An arrival whose value exceeds its sender's balance is counted as a
+    mutation and skipped before it is built: `MempoolState.overdraws`
+    holds for it, so `admit_mut` would decline it.  Every B1 sender is
+    adversarial, and nothing writes an adversarial account: `fill_normal`
+    offers only benign arrivals, and `build_block`, the one writer of
+    balances, never runs here.  So each sender's balance is the world's
+    default, read once, and about 7 in 65,536 random values are within
+    it on a 6-slot pool."""
     rng = random.Random(rng_seed)
     root = new_pool(policy)
     st0, _ = fill_normal(root, policy.capacity)
+    balance = root.world.default_balance
     mutations = 0
     while mutations < budget:
         raw = rng.randbytes(8 * B1_TXS_PER_INPUT)
         mark = root.mark()
-        for sender, nonce, value, price in struct.iter_unpack(">HHHH", raw):
+        for sender, nonce, value, price in _b1_fields(raw):
             if mutations >= budget:
                 break
             mutations += 1
-            tx = Transaction(adversarial(sender + 1), max(1, nonce), value,
-                             price)
+            if value > balance:
+                continue
+            tx = Transaction(adversarial(sender), nonce, value, price)
             if root.admit_mut(tx).admitted and evicted_all(st0, root) and \
                     check_eviction(st0, root, cfg).triggered:
                 return BaselineResult("B1", True, mutations, mutations)

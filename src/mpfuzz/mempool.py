@@ -414,14 +414,23 @@ class MempoolState:
         confirmed, run, value, _ = chain
         if tx.nonce > confirmed + run + 1:
             return ValidityClass.FUTURE, chain
-        balance = self.world.balance(tx.sender)
-        if tx.value > balance:
+        if self.overdraws(tx):
             return ValidityClass.OVERDRAFT, chain
         # A non-future arrival above confirmed lands at the top of the run,
         # so every run member is its ancestor.
-        if tx.nonce > confirmed and tx.value + value > balance:
+        if tx.nonce > confirmed and \
+                tx.value + value > self.world.balance(tx.sender):
             return ValidityClass.LATENT_OVERDRAFT, chain
         return ValidityClass.PENDING, chain
+
+    def overdraws(self, tx: Transaction) -> bool:
+        """Whether `tx` alone moves more value than its sender holds.
+
+        `admit_mut` declines every such arrival, whatever its nonce: as
+        `StaleNonce` at or below the confirmed nonce, as `PriceTooLow` or
+        `Overdraft` when it would replace a resident, and as `Overdraft`
+        otherwise.  So offering one changes nothing."""
+        return tx.value > self.world.balance(tx.sender)
 
     def admit_mut(self, tx: Transaction) -> AdmissionOutcome:
         pol = self.policy
@@ -437,8 +446,7 @@ class MempoolState:
         # Overdrafting arrivals never enter, whatever their nonce position;
         # `_classify` has checked the balance unless the arrival is future.
         if cls is ValidityClass.OVERDRAFT or (
-                cls is ValidityClass.FUTURE and
-                tx.value > self.world.balance(tx.sender)):
+                cls is ValidityClass.FUTURE and self.overdraws(tx)):
             return self._decline(DeclineReason.OVERDRAFT)
 
         if cls is ValidityClass.LATENT_OVERDRAFT and pol.latent_admission_guard:
@@ -466,7 +474,7 @@ class MempoolState:
         old = self.entries[(tx.sender, tx.nonce)]
         if not pol.replacement_allowed or tx.gas_price <= old.tx.gas_price:
             return self._decline(DeclineReason.PRICE_TOO_LOW)
-        if tx.value > self.world.balance(tx.sender):
+        if self.overdraws(tx):
             return self._decline(DeclineReason.OVERDRAFT)
         if pol.replacement_overdraft_guard and \
                 self._replacement_turns_latent(tx):
@@ -740,7 +748,7 @@ def build_block(state: MempoolState, gas_limit: int) -> List[Transaction]:
             if not chain:
                 continue
             head = chain[0]
-            if head.tx.value > state.world.balance(sender):
+            if state.overdraws(head.tx):
                 continue
             if best is None or (-head.tx.gas_price, head.seq) < \
                     (-best.tx.gas_price, best.seq):

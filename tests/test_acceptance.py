@@ -261,5 +261,5 @@ def test_criterion8_deflate_then_lock():
 def test_criterion9_property_suites():
     import tests.test_properties as props
     suites = [n for n in dir(props) if n.startswith("test_")]
-    assert len(suites) == 5
+    assert len(suites) == 6
     assert props.BIG.max_examples >= 1000

@@ -8,8 +8,8 @@ import pytest
 import mpfuzz.baselines
 from mpfuzz.baselines import (B1_TXS_PER_INPUT, BASELINE_KINDS,
                               CHILDREN_PER_SEED, BaselineResult,
-                              _invalid_count, _state_hash, run_baseline,
-                              run_reference)
+                              _b1_fields, _invalid_count, _state_hash,
+                              run_baseline, run_reference)
 from mpfuzz.mempool import MempoolState, fill_normal, new_pool, policy_preset
 from mpfuzz.oracle import OracleConfig, check_eviction, evicted_all
 from mpfuzz.txmodel import Transaction, adversarial
@@ -19,9 +19,29 @@ POL = policy_preset("geth-legacy-reduced(6)")
 CFG = OracleConfig(epsilon=0.2)
 
 
-def plain_b1(policy, cfg, budget, rng_seed, make_tx=Transaction):
+def plain_fields(raw):
+    """Each arrival of a B1 input as (sender index, nonce, value, price),
+    decoded byte by byte: the oracle of `_b1_fields`."""
+    for i in range(0, len(raw), 8):
+        sender, nonce, value, price = (
+            int.from_bytes(raw[j:j + 2], "big") for j in range(i, i + 8, 2))
+        yield sender + 1, max(1, nonce), value, price
+
+
+def test_b1_decoder_equals_its_plain_form():
+    rng = random.Random(0)
+    edges = bytes(8) + b"\xff" * 8 + bytes.fromhex("0000000100020003")
+    for raw in (edges, *(rng.randbytes(8 * B1_TXS_PER_INPUT)
+                         for _ in range(100))):
+        assert list(_b1_fields(raw)) == list(plain_fields(raw))
+    assert list(_b1_fields(edges)) == [
+        (1, 1, 0, 0), (65536, 65535, 65535, 65535), (1, 1, 2, 3)]
+
+
+def plain_b1(policy, cfg, budget, rng_seed, decode=plain_fields):
     """B1 in its plain form, the oracle of `run_baseline("B1")`: every
-    input builds and fills a fresh pool, and every arrival is judged."""
+    input builds and fills a fresh pool, and every decoded arrival is
+    offered and judged."""
     rng = random.Random(rng_seed)
     m = policy.capacity
     mutations = 0
@@ -29,58 +49,79 @@ def plain_b1(policy, cfg, budget, rng_seed, make_tx=Transaction):
         raw = rng.randbytes(8 * B1_TXS_PER_INPUT)
         state = new_pool(policy)
         st0, _ = fill_normal(state, m)
-        for i in range(B1_TXS_PER_INPUT):
+        for sender, nonce, value, price in decode(raw):
             if mutations >= budget:
                 break
-            chunk = raw[8 * i:8 * (i + 1)]
-            sender = int.from_bytes(chunk[0:2], "big") % 65536
-            nonce = max(1, int.from_bytes(chunk[2:4], "big"))
-            value = int.from_bytes(chunk[4:6], "big")
-            price = int.from_bytes(chunk[6:8], "big")
             mutations += 1
-            state.admit_mut(make_tx(adversarial(sender + 1), nonce, value,
-                                    price))
+            state.admit_mut(Transaction(adversarial(sender), nonce, value,
+                                        price))
             if evicted_all(st0, state) and \
                     check_eviction(st0, state, cfg).triggered:
                 return BaselineResult("B1", True, mutations, mutations)
     return BaselineResult("B1", False, None, mutations)
 
 
-def folded(sender, nonce, value, price):
-    """A B1 arrival folded onto 4 senders, nonces 1-4, values 0-2 and
+def folded_fields(raw):
+    """B1 arrivals folded onto 4 senders, nonces 1-4, values 0-2 and
     prices 1-8.  Random 16-bit fields are almost never admitted (about 5
     of 20,000 on a 6-slot pool), so only folded arrivals move the pool
-    within an input and put its rollback to the test."""
-    return Transaction(adversarial(sender.index % 4 + 1), nonce % 4 + 1,
-                       value % 3, price % 8 + 1)
+    within an input and put its rollback to the test.  The fold is taken
+    on the decoded fields, so B1's overdraft filter sees folded values."""
+    for sender, nonce, value, price in plain_fields(raw):
+        yield sender % 4 + 1, nonce % 4 + 1, value % 3, price % 8 + 1
 
 
-# (preset, epsilon, arrival, finds), each for 3 seeds within 20,000
+# (preset, epsilon, decoder, finds), each for 3 seeds within 20,000
 # mutations.  Raw arrivals on one slot at epsilon 0.99 find an exploit
 # for seeds 0 and 1, at 16,756 and 7,196 mutations, and none for seed 2.
 # Folded arrivals find one after 148 to 686 mutations (5 to 22 inputs)
 # on the legacy presets, and none on nethermind-1.18, which admits about
 # 3,600 of them.
 B1_CASES = [
-    ("geth-legacy-reduced(6)", 0.2, Transaction, (False, False, False)),
-    *[(f"{family}-legacy-reduced(1)", 0.99, Transaction, (True, True, False))
+    ("geth-legacy-reduced(6)", 0.2, plain_fields, (False, False, False)),
+    *[(f"{family}-legacy-reduced(1)", 0.99, plain_fields, (True, True, False))
       for family in ("geth", "nethermind", "besu")],
-    ("geth-legacy-reduced(6)", 0.2, folded, (True, True, True)),
-    ("nethermind-legacy-reduced(6)", 0.2, folded, (True, True, True)),
-    ("nethermind-1.18-reduced(6)", 0.99, folded, (False, False, False)),
+    ("geth-legacy-reduced(6)", 0.2, folded_fields, (True, True, True)),
+    ("nethermind-legacy-reduced(6)", 0.2, folded_fields, (True, True, True)),
+    ("nethermind-1.18-reduced(6)", 0.99, folded_fields,
+     (False, False, False)),
 ]
 
 
 @pytest.mark.parametrize("rng_seed", range(3))
-@pytest.mark.parametrize("preset, epsilon, arrival, finds", B1_CASES)
-def test_b1_equals_its_plain_form(monkeypatch, preset, epsilon, arrival,
+@pytest.mark.parametrize("preset, epsilon, decode, finds", B1_CASES)
+def test_b1_equals_its_plain_form(monkeypatch, preset, epsilon, decode,
                                   finds, rng_seed):
     pol, cfg = policy_preset(preset), OracleConfig(epsilon=epsilon)
-    monkeypatch.setattr(mpfuzz.baselines, "Transaction", arrival)
+    if decode is not plain_fields:
+        monkeypatch.setattr(mpfuzz.baselines, "_b1_fields", decode)
     res = run_baseline("B1", pol, cfg, budget_mutations=20_000,
                        rng_seed=rng_seed)
-    assert res == plain_b1(pol, cfg, 20_000, rng_seed, make_tx=arrival)
+    assert res == plain_b1(pol, cfg, 20_000, rng_seed, decode=decode)
     assert res.found == finds[rng_seed]
+
+
+def test_b1_offers_only_arrivals_within_the_balance(monkeypatch):
+    # 20,000 mutations are 625 whole inputs, none of which finds.  Only
+    # the 6 benign fill arrivals and the B1 arrivals whose value is at
+    # most the default balance reach `admit_mut`.
+    rng, m = random.Random(0), POL.capacity
+    within = sum(value <= m for _ in range(20_000 // B1_TXS_PER_INPUT)
+                 for _, _, value, _ in plain_fields(
+                     rng.randbytes(8 * B1_TXS_PER_INPUT)))
+    assert 0 < within < 20
+    offered = []
+    admit = MempoolState.admit_mut
+
+    def spy(self, tx):
+        offered.append(tx)
+        return admit(self, tx)
+
+    monkeypatch.setattr(MempoolState, "admit_mut", spy)
+    res = run_baseline("B1", POL, CFG, budget_mutations=20_000, rng_seed=0)
+    assert not res.found and res.mutations_total == 20_000
+    assert len(offered) == m + within
+    assert all(tx.value <= m for tx in offered)
 
 
 def test_b1_fills_one_pool_per_run(monkeypatch):

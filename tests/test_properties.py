@@ -5,16 +5,20 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpfuzz.fuzzer import run_fuzzer
-from mpfuzz.mempool import (MempoolState, WorldState, fill_normal, new_pool,
-                            policy_preset)
+from mpfuzz.mempool import (DeclineReason, MempoolState, WorldState,
+                            build_block, fill_normal, new_pool, policy_preset)
 from mpfuzz.oracle import OracleConfig, asym_E
 from mpfuzz.symbolic import (cost, enumerate_mutations, execute_input,
                              instantiate, opcost, symbolize_state)
-from mpfuzz.txmodel import Role, Transaction, adversarial, benign
+from mpfuzz.txmodel import GAS_PER_TX, Role, Transaction, adversarial, benign
 
 BIG = settings(max_examples=1000, deadline=None,
                suppress_health_check=[HealthCheck.too_slow,
                                       HealthCheck.filter_too_much])
+
+# Imported as a module, and only once BIG is defined: `test_mempool`
+# imports BIG from here, whichever of the two is imported first.
+import test_mempool as mempool_tests  # noqa: E402
 
 SMALL_PRESETS = (
     "geth-legacy-reduced(3)",
@@ -179,3 +183,39 @@ def test_run_determinism(preset, budget, eps, seed):
     assert a.states_covered == b.states_covered
     assert [e.to_json() for e in a.exploits] == \
         [e.to_json() for e in b.exploits]
+
+
+# -- suite 6: an arrival that overdraws its sender changes nothing ---------
+
+@BIG
+@given(preset=st.sampled_from(SMALL_PRESETS),
+       choices=st.lists(st.integers(0, 11), max_size=6),
+       blocks=st.integers(0, 2), data=st.data())
+def test_overdrawing_arrivals_are_declined(preset, choices, blocks, data):
+    # Blocks write the executed senders' accounts, so some balances fall
+    # below the default and some nonces go stale.
+    pol = policy_preset(preset)
+    m = pol.capacity
+    _, state = drive(pol, choices)
+    build_block(state, blocks * GAS_PER_TX)
+    arrivals = data.draw(st.lists(st.tuples(
+        st.sampled_from((adversarial, benign)), st.integers(1, m + 1),
+        st.integers(-1, 3), st.integers(0, 2 * m), st.integers(1, 9)),
+        min_size=1, max_size=8))
+    for role, index, offset, value, price in arrivals:
+        sender = role(index)
+        top = max([state.world.confirmed_nonce(sender),
+                   *state.by_sender.get(sender, ())])
+        tx = Transaction(sender, top + offset, value, price)
+        overdraws = state.overdraws(tx)
+        # B1's bound: a sender with no written account holds the default.
+        if sender.role is Role.ADVERSARIAL and \
+                sender not in state.world.accounts:
+            assert overdraws == (value > state.world.default_balance)
+        ref = state.clone()
+        out = state.admit_mut(tx)
+        if overdraws:
+            assert out.reason in (DeclineReason.OVERDRAFT,
+                                  DeclineReason.STALE_NONCE,
+                                  DeclineReason.PRICE_TOO_LOW)
+            mempool_tests.check_rolled_back(state, ref, tx)
