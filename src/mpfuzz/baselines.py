@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .fuzzer import run_fuzzer
-from .mempool import MempoolPolicy, MempoolState, fill_normal, new_pool
+from .mempool import (Mark, MempoolPolicy, MempoolState, fill_normal,
+                      new_pool, walk)
 from .oracle import OracleConfig, check_eviction, evicted_all
 from .txmodel import Transaction, adversarial
 
@@ -159,16 +160,10 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
     An empty frontier restarts the search at the root with fresh draws.
 
     A frontier entry is the path of transactions that led to its state
-    from the benign-filled root, not a copy of the pool.  A pop opens a
-    mark on the root and re-admits the path; each child is admitted
-    under an inner mark and rolled back, and the root is then rolled
-    back to the pop's mark.  The replay is exact.  Admission reads only
-    the entries, the counters, the victim heaps and `_acct_key`, and a
-    rollback restores each of them exactly (a mark copies the heap
-    lists), so the root is the same pool at every pop and each
-    re-admission does what it did when the path was first walked.  The
-    chain cache may differ, but it always equals a fresh walk, and
-    nothing reads the order of `entries`, which a rollback can change.
+    from the benign-filled root, not a copy of the pool.  A pop walks
+    the root from the previous pop's path to this one (`walk`, which
+    says why the replay is exact); each child is admitted under a mark
+    on top and rolled back.
 
     A declined child is its parent's resident set, which is covered and
     did not trigger when it was pushed (the root holds every initial
@@ -182,11 +177,10 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
     covered = {_state_hash(root)}
     mutations = 0
     frontier: List[Tuple[int, int, Tuple[Transaction, ...]]] = []
+    held: List[Tuple[Transaction, Mark]] = []
     while mutations < budget:
         path = heapq.heappop(frontier)[2] if frontier else ()
-        pop = root.mark()
-        for tx in path:
-            root.admit_mut(tx)
+        walk(root, held, path)
         for _ in range(children):
             if mutations >= budget:
                 break
@@ -209,5 +203,4 @@ def _run_concrete(kind: str, policy: MempoolPolicy, cfg: OracleConfig,
                     -_invalid_count(root) if kind == "B3" else 0,
                     mutations, path + (tx,)))
             root.rollback(mark)
-        root.rollback(pop)
     return BaselineResult(kind, False, None, mutations)

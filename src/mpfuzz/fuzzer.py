@@ -15,9 +15,10 @@ is the greatest energy, opcost 0 sorts first as energy inf, and a seed
 with no candidates has energy 0 and is never pushed.  A popped seed is
 never wanted again: all its candidates run before the next selection,
 and each early exit (the mutation budget, `budget_seconds`,
-`stop_on_first`) ends the mode.  Each seed carries the concrete
-transactions that built its state, so an exploit's transactions are
-its seed's plus the last one, without re-executing its input.
+`stop_on_first`) ends the mode.  A seed holds no pool: it carries the
+transactions that built its state from the mode's root, so an exploit's
+transactions are its seed's plus the last one, without re-executing its
+input.
 
 A symbolized state counts as covered once feedback has judged it: it was
 reached by an admitted mutation and the promisingness gate either kept it
@@ -25,14 +26,17 @@ as a seed or rejected it.  A covered state is never judged again, so a
 rejected state is not re-probed or admitted later from another parent,
 and ``states_covered`` counts judged states, kept or not.
 
-Each mutation is admitted into its seed's own pool under a mark
-(``MempoolState.mark``), judged there and rolled back; only a state
-kept as a seed is copied.  The pool journals only its entry inserts,
-removes and flips; the mark copies the counters, the victim heaps and
-the account keys, and the rollback drops the cached chain state of each
-sender whose entries it restores.  Two kinds of decline and repeated
-transactions are not judged again, and the three shortcuts leave every
-output as full judging would:
+A mode keeps one pool, its root.  A selection walks it from the path it
+stands on to the seed's (``mempool.walk``, whose docstring says why the
+replay is exact), and each mutation is admitted there under a mark
+(``MempoolState.mark``), judged and rolled back; no pool is copied.  A
+kept seed's candidates are enumerated on the mutated pool before the
+rollback.  The pool journals only its entry inserts, removes and flips;
+the mark copies the counters, the victim heaps and the account keys, and
+the rollback drops the cached chain state of each sender whose entries
+it restores.  Two kinds of decline and repeated transactions are not
+judged again, and the three shortcuts leave every output as full judging
+would:
 
 - A mutation the pool declines leaves the pool's entries and world as
   they were, so its symbolized state is its seed's.  That state is
@@ -104,8 +108,8 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .exploitkit import Exploit, exploit_key
-from .mempool import (AdmissionOutcome, MempoolPolicy, MempoolState,
-                      fill_normal, new_pool)
+from .mempool import (AdmissionOutcome, Mark, MempoolPolicy, MempoolState,
+                      fill_normal, new_pool, walk)
 # Also bound under this name, which the benchmark's span tracer looks up.
 from .mempool import probe_declines as _probe_declines
 from .oracle import (OracleConfig, chargeable_fees, check_eviction,
@@ -121,7 +125,6 @@ from .txmodel import Transaction
 class Seed:
     input: Tuple[SymbolizedTx, ...]
     sym_state: SymbolizedState
-    concrete: MempoolState
     ctx: InstantiationContext
     # Each candidate with the transaction it concretizes to.
     candidates: Tuple[Tuple[SymbolizedTx, Transaction], ...] = ()
@@ -273,16 +276,18 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
     `first_exploit` under `stop_on_first`."""
     m = policy.capacity
     fill_count = m if mode == "eviction" else 0
-    root_state = new_pool(policy)
-    st0, _ = fill_normal(root_state, fill_count)
+    pool = new_pool(policy)
+    st0, _ = fill_normal(pool, fill_count)
     st0_fees = total_fees(st0)
     root_ctx = InstantiationContext(capacity=m, benign_next=fill_count + 1)
     corpus = Corpus()
-    root_declined, _ = _probe_declines(root_state, m)
-    corpus.add(Seed(input=(), sym_state=symbolize_state(root_state),
-                    concrete=root_state, ctx=root_ctx, candidates=tuple(
-                        enumerate_mutations(root_state, root_ctx)),
+    root_declined, _ = _probe_declines(pool, m)
+    corpus.add(Seed(input=(), sym_state=symbolize_state(pool),
+                    ctx=root_ctx, candidates=tuple(
+                        enumerate_mutations(pool, root_ctx)),
                     decline_probes=len(root_declined)))
+    # The path the pool stands on (see `walk`).
+    held: List[Tuple[Transaction, Mark]] = []
     judge_locking = partial(check_locking, cfg=cfg)
     outcomes: Dict[str, int] = {}
 
@@ -298,13 +303,13 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
     def judge(seed: Seed, seed_key: str, summary: PoolSummary,
               cand: SymbolizedTx, tx: Transaction,
               new_input: Tuple[SymbolizedTx, ...]) -> tuple:
-        """Admit `tx` into the seed's pool under a mark, judge it, keep
-        its state as a new seed when feedback says so, and roll back.
+        """Admit `tx` into the pool, walked to the seed's path, under a
+        mark, judge it, keep its state as a new seed when feedback says
+        so, and roll back.
         The result is the logged outcome, the state key, the verdict if it
         triggered, and whether feedback kept the state.  A repeat of `tx`
         in this seed replays it without feedback (see the module
         docstring): this judging left the key covered."""
-        pool = seed.concrete
         mark = pool.mark()
         try:
             outcome = pool.admit_mut(tx)
@@ -348,13 +353,11 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
                                       len(declined_probes),
                                       seed.decline_probes)
                 if ok:
-                    kept = pool.clone()
                     ctx = seed.ctx.copy()
                     ctx.advance(cand)
                     corpus.add(Seed(
-                        input=new_input, sym_state=new_sym,
-                        concrete=kept, ctx=ctx,
-                        candidates=tuple(enumerate_mutations(kept, ctx)),
+                        input=new_input, sym_state=new_sym, ctx=ctx,
+                        candidates=tuple(enumerate_mutations(pool, ctx)),
                         txs=seed.txs + (tx,),
                         decline_probes=len(declined_probes)))
                     fed_back = True
@@ -381,11 +384,12 @@ def _run_mode(mode: str, policy: MempoolPolicy, cfg: OracleConfig,
         if seed is None:
             stopped_by = "corpus_exhausted"
             break
+        walk(pool, held, seed.txs)
         # Seed-scoped: the pool's summaries, taken once for all its
         # candidates, and what a repeated transaction replays (see the
         # module docstring).
         seed_key = seed.sym_state.key
-        summary = PoolSummary(seed.concrete)
+        summary = PoolSummary(pool)
         replays: Dict[Transaction, tuple] = {}
         for cand, tx in seed.candidates:
             if mutations >= budget_mutations or \

@@ -14,8 +14,8 @@ import heapq
 import json
 import re
 from dataclasses import dataclass, fields, replace
-from typing import (Callable, Dict, List, NamedTuple, Optional, Set, Tuple,
-                    get_type_hints)
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple, get_type_hints)
 
 from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
                       WorldState, benign)
@@ -204,7 +204,9 @@ class MempoolState:
     # -- bookkeeping -----------------------------------------------------
 
     def clone(self) -> "MempoolState":
-        """An independent copy; its chain cache starts empty."""
+        """An independent copy; its chain cache starts empty.  The tests'
+        reference copy: the program calls none, and its searches move one
+        pool between paths with `walk`."""
         st = MempoolState(self.policy, self.world.copy())
         for k, e in self.entries.items():
             ne = PoolEntry(e.tx, e.seq, e.is_future)
@@ -728,6 +730,37 @@ def probe_declines(state: MempoolState, count: int,
                           else None)
     finally:
         state.rollback(mark)
+
+
+def walk(pool: MempoolState, held: List[Tuple[Transaction, Mark]],
+         txs: Sequence[Transaction]) -> None:
+    """Move `pool` from the path it stands on to `txs`.
+
+    `held` is the path as (transaction, mark) pairs, each mark opened on
+    `pool` just before its transaction was admitted; it starts empty, on
+    the pool the search treats as its root, and is updated in place.
+    The marks past the common prefix of the two paths are rolled back,
+    and each remaining transaction of `txs` is admitted under a new mark.
+
+    The walk is exact: the pool ends as admitting `txs` to the root
+    would leave it.  Admission reads only the entries, the counters, the
+    victim heaps and `_acct_key`, and a rollback restores each of them
+    exactly (a mark copies the heap lists), so the pool after the common
+    prefix is the one a fresh walk reaches, and each re-admission does
+    what it did the first time.  The chain cache may differ, but it
+    always equals a fresh walk, and nothing reads the order of
+    `entries`, which a rollback can change.
+    """
+    common = 0
+    for (held_tx, _), tx in zip(held, txs):
+        if held_tx != tx:
+            break
+        common += 1
+    while len(held) > common:
+        pool.rollback(held.pop()[1])
+    for tx in txs[common:]:
+        held.append((tx, pool.mark()))
+        pool.admit_mut(tx)
 
 
 def build_block(state: MempoolState, gas_limit: int) -> List[Transaction]:

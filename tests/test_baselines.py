@@ -10,10 +10,11 @@ from mpfuzz.baselines import (B1_TXS_PER_INPUT, BASELINE_KINDS,
                               CHILDREN_PER_SEED, BaselineResult,
                               _b1_fields, _invalid_count, _state_hash,
                               run_baseline, run_reference)
-from mpfuzz.mempool import MempoolState, fill_normal, new_pool, policy_preset
+from mpfuzz.mempool import (MempoolState, fill_normal, new_pool,
+                            policy_preset, walk)
 from mpfuzz.oracle import OracleConfig, check_eviction, evicted_all
 from mpfuzz.txmodel import Transaction, adversarial
-from test_mempool import check_rolled_back
+from test_mempool import check_walked
 
 POL = policy_preset("geth-legacy-reduced(6)")
 CFG = OracleConfig(epsilon=0.2)
@@ -208,24 +209,21 @@ def test_concrete_search_equals_its_plain_form(preset, epsilon, kind,
 @pytest.mark.parametrize("preset, epsilon", CONCRETE_CASES)
 def test_replayed_pools_equal_the_popped_clones(monkeypatch, preset, epsilon,
                                                 kind):
-    # The search opens a mark on the bare root at each pop and one for
-    # each child; the first child mark of a pop sees the replayed pool.
+    # Each pop walks the root to its path; the pool is checked right
+    # after each walk.
     pol, cfg = policy_preset(preset), OracleConfig(epsilon=epsilon)
     pops = []
     want = plain_concrete(kind, pol, cfg, 10_000, 0, pops=pops)
     opened = []  # per pop, whether its replayed pool was checked
-    mark = MempoolState.mark
     probe = Transaction(adversarial(1), 1, 1, 5)
 
-    def spy(self):
-        if not self._marks:
-            opened.append(False)
-        elif len(self._marks) == 1 and not opened[-1]:
-            opened[-1] = True
-            check_rolled_back(self, pops[len(opened) - 1], probe)
-        return mark(self)
+    def spy(pool, held, txs):
+        walk(pool, held, txs)
+        opened.append(len(opened) < len(pops))
+        if opened[-1]:
+            check_walked(pool, pops[len(opened) - 1], probe)
 
-    monkeypatch.setattr(MempoolState, "mark", spy)
+    monkeypatch.setattr(mpfuzz.baselines, "walk", spy)
     assert run_baseline(kind, pol, cfg, budget_mutations=10_000,
                         rng_seed=0) == want
     assert len(opened) == len(pops) and all(opened)

@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 from mpfuzz.fuzzer import Corpus, Seed, _audit_reexec, run_fuzzer
 from mpfuzz.mempool import (PRESET_FAMILIES, AdmissionOutcome,
                             DeclineReason, fill_normal, new_pool,
-                            policy_preset, probe_declines)
+                            policy_preset, probe_declines, walk)
 from mpfuzz.oracle import (OracleConfig, chargeable_fees, check_eviction,
                            check_locking)
 from mpfuzz.symbolic import (SymbolizedState, SymbolizedTx, execute_input,
                              opcost, parse_input, symbolize_state)
+from mpfuzz.txmodel import Transaction, adversarial
+from test_mempool import check_walked
 
 PRESET3 = "geth-1.11-reduced(3,1,2,2)"
 
@@ -28,8 +30,7 @@ def make_seed(text=""):
     pol = policy_preset(PRESET3)
     seq = parse_input(text) if text else ()
     state, ctx, _, _ = execute_input(pol, seq, fill_count=3)
-    return Seed(input=seq, sym_state=symbolize_state(state),
-                concrete=state, ctx=ctx)
+    return Seed(input=seq, sym_state=symbolize_state(state), ctx=ctx)
 
 
 def test_corpus_rejects_duplicate_state_keys():
@@ -90,7 +91,7 @@ def generated_seed(chain, n_candidates, serial):
     key = "".join("P" if p else "C" for p in chain) + "E" * serial
     sym = SymbolizedState(key, sum(p for p in chain if p),
                           capacity=len(key))
-    return Seed(input=(), sym_state=sym, concrete=None, ctx=None,
+    return Seed(input=(), sym_state=sym, ctx=None,
                 candidates=tuple(SymbolizedTx("P", k)
                                  for k in range(n_candidates)))
 
@@ -296,6 +297,41 @@ def test_reexec_audit_checks_replayed_results(monkeypatch):
     assert max(numbered_asyms.values()) > 1
     with pytest.raises(AssertionError, match="replayed result"):
         campaign_record(PRESET_FAMILIES[0], reexec_audit=True)
+
+
+@pytest.mark.parametrize("mode", ("eviction", "locking"))
+@pytest.mark.parametrize("family", ("geth-legacy", "openethereum",
+                                    "nethermind-legacy", "besu-22.7"))
+def test_walked_pools_equal_reexecution(monkeypatch, family, mode):
+    # At each selection the search walks its one pool to the seed's path,
+    # and that pool must be the one a fresh execution of the seed's input
+    # builds.  One preset per eviction rule, and besu-22.7.
+    pol = policy_preset(f"{family}-reduced(6)")
+    fill = pol.capacity if mode == "eviction" else 0
+    selected = []
+    select = Corpus.select
+
+    def select_spy(corpus):
+        seed = select(corpus)
+        if seed is not None:
+            selected.append(seed)
+        return seed
+
+    checked = []
+    probe = Transaction(adversarial(1), 1, 1, 5)
+
+    def walk_spy(pool, held, txs):
+        walk(pool, held, txs)
+        seed = selected[-1]
+        assert txs == seed.txs
+        check_walked(pool, execute_input(pol, seed.input, fill)[0], probe)
+        checked.append(seed)
+
+    monkeypatch.setattr(Corpus, "select", select_spy)
+    monkeypatch.setattr("mpfuzz.fuzzer.walk", walk_spy)
+    res = run_fuzzer(pol, OracleConfig(), modes=(mode,))
+    assert res.mode_stats[mode]["stopped_by"] == "corpus_exhausted"
+    assert len(selected) > 50 and len(checked) == len(selected)
 
 
 def test_locking_mode_finds_fifo_lock():
