@@ -1,8 +1,8 @@
 """Mempool admission-policy modeling, symbolized fuzzing, and exploit
 replay for asymmetric denial-of-mempool-service analysis."""
 
-from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
-                      WorldState, adversarial, benign)
+from .txmodel import (GAS_PER_TX, Address, Transaction, WorldState,
+                      adversarial, benign)
 from .mempool import (AdmissionOutcome, DeclineReason, EvictionRule,
                       MempoolPolicy, MempoolState, TurningRule,
                       VULNERABILITY_MATRIX, build_block, fill_normal,

@@ -120,6 +120,8 @@ from .symbolic import (InstantiationContext, PoolSummary, SymbolizedState,
                        summarize_sender, symbolize_state)
 from .txmodel import Transaction
 
+MODES = ("eviction", "locking")
+
 
 @dataclass
 class Seed:
@@ -222,7 +224,7 @@ def run_fuzzer(policy: MempoolPolicy,
                budget_seconds: float = 300.0,
                rng_seed: int = 0,
                promising: bool = True,
-               modes: Sequence[str] = ("eviction", "locking"),
+               modes: Sequence[str] = MODES,
                log_stream=None,
                reexec_audit: bool = False,
                stop_on_first: bool = False) -> FuzzResult:
@@ -231,8 +233,15 @@ def run_fuzzer(policy: MempoolPolicy,
     Deterministic for fixed (policy, cfg, budgets).  The search makes no
     random choice, so `rng_seed` is never read: runs that differ only in
     it are identical.  A mode that stops on `budget_seconds` is the one
-    exception, and its `mode_stats` entry says so.
+    exception, and its `mode_stats` entry says so.  A mode outside
+    `MODES`, or one asked for twice, raises ValueError.
     """
+    for i, mode in enumerate(modes):
+        if mode not in MODES:
+            raise ValueError(f"unknown fuzzing mode {mode!r}; the modes "
+                             f"are {', '.join(MODES)}")
+        if mode in modes[:i]:
+            raise ValueError(f"fuzzing mode {mode!r} asked for twice")
     cfg = cfg or OracleConfig()
     start = time.monotonic()
     total_mutations = 0

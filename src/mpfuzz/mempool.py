@@ -1,8 +1,11 @@
 """Deterministic mempool admission policies.
 
-A pool is a bounded set of slots governed by an admission pipeline:
-classification, replacement, quota checks, then (when full) an eviction
-rule, then a turning rule for descendants orphaned by an eviction.
+A pool is a bounded set of slots governed by an admission pipeline.  An
+arrival is checked, in order, as a replacement, then for a stale nonce,
+an overdraft, a future nonce (the future quota, then a slot or a
+victim), the latent-overdraft guard and the sender limit; a pending
+arrival then takes a free slot or (when full) one the eviction rule
+frees, and a turning rule handles descendants orphaned by an eviction.
 Policies are behavioral models of deployed clients; presets are validated
 by which attack patterns succeed against them, not by code-level fidelity.
 """
@@ -17,8 +20,7 @@ from dataclasses import dataclass, fields, replace
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Set, Tuple, get_type_hints)
 
-from .txmodel import (GAS_PER_TX, Address, Transaction, ValidityClass,
-                      WorldState, benign)
+from .txmodel import GAS_PER_TX, Address, Transaction, WorldState, benign
 
 NORMAL_PRICE = 3
 NORMAL_VALUE = 1
@@ -64,6 +66,11 @@ class MempoolPolicy:
     latent_admission_guard: bool = False
 
     def __post_init__(self):
+        for name, typ in _POLICY_TYPES.items():
+            v = getattr(self, name)
+            if type(v) is not typ:
+                raise ValueError(f"policy {self.name}: field {name} must be "
+                                 f"{typ.__name__}, got {v!r}")
         if self.capacity < 1:
             raise ValueError(f"policy {self.name}: capacity must be at "
                              f"least 1, got {self.capacity}")
@@ -83,22 +90,25 @@ class MempoolPolicy:
     @staticmethod
     def from_json(obj: dict) -> "MempoolPolicy":
         """The policy of a `to_json` record.  An enum field is read from
-        its value; any other value must already be of its field's type,
-        so neither `true` nor `6.9` is an int and `"false"` is no bool.
-        A bad value raises ValueError naming the field, a missing one
-        KeyError."""
+        its value; the constructor checks every field's type, so neither
+        `true` nor `6.9` is an int, `"false"` is no bool, and a value
+        naming no rule stays a string.  A bad value raises ValueError
+        naming the field, a missing one KeyError."""
         kwargs = {}
-        for name, typ in get_type_hints(MempoolPolicy).items():
-            raw = obj[name]
-            try:
-                v = typ(raw) if issubclass(typ, enum.Enum) else raw
-            except ValueError:
-                v = None
-            if type(v) is not typ:
-                raise ValueError(f"policy field {name} must be "
-                                 f"{typ.__name__}, got {raw!r}")
+        for name, typ in _POLICY_TYPES.items():
+            v = obj[name]
+            if issubclass(typ, enum.Enum):
+                try:
+                    v = typ(v)
+                except ValueError:
+                    pass
             kwargs[name] = v
         return MempoolPolicy(**kwargs)
+
+
+# Each policy field's type, which the constructor requires exactly: a
+# bool is no int, and a rule's value is no rule.
+_POLICY_TYPES: Dict[str, type] = get_type_hints(MempoolPolicy)
 
 
 @dataclass(slots=True)
@@ -167,9 +177,11 @@ class MempoolState:
     always equals a fresh walk of the sender's entries.  Appending at the
     top of the run or removing from there updates it in O(1).  A removal
     inside the run, an arrival that closes a gap, or a confirmed-nonce
-    move drops it, and the next admission walks the chain once.  Turning
+    move drops it, and the next read walks the chain once.  Turning
     demotes only entries above the pending prefix, which changes none of
-    its four figures.
+    its four figures.  Admission decides from `_chain_state`, and every
+    reader of a sender's pending prefix (`sender_chain_entries`, turning)
+    takes its length from there.
 
     `mark()` opens a mark and `rollback(mark)` returns the pool to it;
     marks nest, and the innermost open one is rolled back first.  While a
@@ -286,17 +298,13 @@ class MempoolState:
         return [e.tx for e in self.entries.values()]
 
     def sender_chain_entries(self, sender: Address) -> List[PoolEntry]:
-        """Gap-free run of non-future entries starting at confirmed+1."""
+        """The sender's pending prefix: its gap-free run of non-future
+        entries from confirmed+1, as long as `_chain_state` says."""
         group = self.by_sender.get(sender)
         if not group:
             return []
-        confirmed = self.world.confirmed_nonce(sender)
-        out = []
-        n = confirmed + 1
-        while n in group and not group[n].is_future:
-            out.append(group[n])
-            n += 1
-        return out
+        confirmed, _, _, prefix = self._chain_state(sender)
+        return [group[n] for n in range(confirmed + 1, confirmed + prefix + 1)]
 
     def _chain_state(self, sender: Address) -> ChainState:
         """The sender's `ChainState`: the cached one, or a walk of its
@@ -403,28 +411,6 @@ class MempoolState:
 
     # -- admission -------------------------------------------------------
 
-    def _classify(self, tx: Transaction
-                  ) -> Tuple[ValidityClass, Optional[ChainState]]:
-        """The validity class of `tx` against its sender's residents, read
-        from the entries and the sender's `ChainState`, which it also
-        returns unless the arrival is a replacement.  `classify` in
-        `tests/test_mempool.py` is the plain reference: it walks the
-        sender's resident list."""
-        if (tx.sender, tx.nonce) in self.entries:
-            return ValidityClass.REPLACEMENT, None
-        chain = self._chain_state(tx.sender)
-        confirmed, run, value, _ = chain
-        if tx.nonce > confirmed + run + 1:
-            return ValidityClass.FUTURE, chain
-        if self.overdraws(tx):
-            return ValidityClass.OVERDRAFT, chain
-        # A non-future arrival above confirmed lands at the top of the run,
-        # so every run member is its ancestor.
-        if tx.nonce > confirmed and \
-                tx.value + value > self.world.balance(tx.sender):
-            return ValidityClass.LATENT_OVERDRAFT, chain
-        return ValidityClass.PENDING, chain
-
     def overdraws(self, tx: Transaction) -> bool:
         """Whether `tx` alone moves more value than its sender holds.
 
@@ -436,30 +422,29 @@ class MempoolState:
 
     def admit_mut(self, tx: Transaction) -> AdmissionOutcome:
         pol = self.policy
-        cls, chain = self._classify(tx)
-
-        if cls is ValidityClass.REPLACEMENT:
+        if (tx.sender, tx.nonce) in self.entries:
             return self._admit_replacement(tx)
+        confirmed, run, value, prefix = self._chain_state(tx.sender)
 
         # A nonce already executed can never be included again.
-        if tx.nonce <= chain[0]:
+        if tx.nonce <= confirmed:
             return self._decline(DeclineReason.STALE_NONCE)
 
-        # Overdrafting arrivals never enter, whatever their nonce position;
-        # `_classify` has checked the balance unless the arrival is future.
-        if cls is ValidityClass.OVERDRAFT or (
-                cls is ValidityClass.FUTURE and self.overdraws(tx)):
+        # Overdrafting arrivals never enter, whatever their nonce position.
+        if self.overdraws(tx):
             return self._decline(DeclineReason.OVERDRAFT)
 
-        if cls is ValidityClass.LATENT_OVERDRAFT and pol.latent_admission_guard:
-            return self._decline(DeclineReason.LATENT_GUARD)
-
-        if cls is ValidityClass.FUTURE:
+        if tx.nonce > confirmed + run + 1:
             return self._admit_future(tx)
 
-        # Pending or latent-overdraft arrival joining the sender's chain.
-        chain_count = chain[3]
-        if chain_count >= pol.sender_limit and \
+        # Neither future nor a replacement, and above confirmed: the
+        # arrival lands at confirmed+run+1, so the run's value is its
+        # ancestors' value.  A latent overdraft is therefore never future.
+        if pol.latent_admission_guard and \
+                tx.value + value > self.world.balance(tx.sender):
+            return self._decline(DeclineReason.LATENT_GUARD)
+
+        if prefix >= pol.sender_limit and \
                 self.pending_count > pol.sender_limit_threshold:
             return self._decline(DeclineReason.SENDER_LIMIT)
 
@@ -606,10 +591,8 @@ class MempoolState:
         group = self.by_sender.get(sender)
         if not group:
             return
-        confirmed = self.world.confirmed_nonce(sender)
-        n = confirmed + 1
-        while n in group and not group[n].is_future:
-            n += 1
+        confirmed, _, _, prefix = self._chain_state(sender)
+        n = confirmed + prefix + 1
         orphans = sorted((e for e in group.values()
                           if not e.is_future and e.tx.nonce > n),
                          key=lambda e: e.tx.nonce)

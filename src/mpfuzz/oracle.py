@@ -41,8 +41,12 @@ class OracleConfig:
     lam: Fraction = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", _to_fraction(self.epsilon))
-        object.__setattr__(self, "lam", _to_fraction(self.lam))
+        for name in ("epsilon", "lam"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"oracle threshold {name} must be a "
+                                 f"number, got {value!r}")
+            object.__setattr__(self, name, _to_fraction(value))
         if self.epsilon <= 0 or self.lam <= 0:
             raise ValueError(f"oracle thresholds must be positive, got "
                              f"epsilon={self.epsilon}, lambda={self.lam}")

@@ -9,7 +9,6 @@ The collector still tracks them: CPython untracks only exact tuples.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, NamedTuple
 
@@ -107,14 +106,6 @@ class Transaction(NamedTuple):
     def __repr__(self) -> str:
         return (f"Tx({self.sender.short()},n{self.nonce},"
                 f"v{self.value},f{self.gas_price})")
-
-
-class ValidityClass(enum.Enum):
-    PENDING = "Pending"
-    FUTURE = "Future"
-    OVERDRAFT = "Overdraft"
-    LATENT_OVERDRAFT = "LatentOverdraft"
-    REPLACEMENT = "Replacement"
 
 
 @dataclass

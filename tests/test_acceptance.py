@@ -192,6 +192,26 @@ def test_criterion6_baseline_ordering(ablation):
     assert med["mpfuzz"][0] <= med["B4"][0]
 
 
+# The paper's headline where it reports new bugs: on the patched clients
+# mpfuzz finds at these counts, and B2 and B3 find on none of five seeds
+# within 100 times as many mutations.
+HEADLINE = {"geth-1.11-reduced(6)": 139, "besu-22.7-reduced(6)": 165}
+
+
+@pytest.mark.parametrize("preset", HEADLINE)
+def test_criterion6_headline_on_patched_clients(preset):
+    pol = policy_preset(preset)
+    cfg = OracleConfig(epsilon=0.2)
+    ref = run_reference(pol, cfg, ABLATION_CAP)
+    assert ref.mutations_to_first == HEADLINE[preset]
+    budget = 100 * ref.mutations_to_first
+    for kind in ("B2", "B3"):
+        for seed in range(5):
+            res = run_baseline(kind, pol, cfg, budget, seed)
+            assert not res.found, (kind, seed, res.mutations_to_first)
+            assert res.mutations_total == budget
+
+
 # Every preset family at two reduced sizes and two cost bounds.
 GATE_GRID = [(f"{family}-reduced({m})", eps)
              for family in PRESET_FAMILIES

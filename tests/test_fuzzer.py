@@ -334,6 +334,18 @@ def test_walked_pools_equal_reexecution(monkeypatch, family, mode):
     assert len(selected) > 50 and len(checked) == len(selected)
 
 
+@pytest.mark.parametrize("modes, message", [
+    (("evction",), "unknown fuzzing mode 'evction'"),
+    (("eviction", "Locking"), "unknown fuzzing mode 'Locking'"),
+    (("eviction", "eviction"), "mode 'eviction' asked for twice"),
+    (("locking", "eviction", "locking"), "mode 'locking' asked for twice"),
+])
+def test_fuzzer_rejects_unknown_and_repeated_modes(modes, message):
+    with pytest.raises(ValueError, match=message):
+        run_fuzzer(policy_preset("geth-legacy-reduced(3)"), OracleConfig(),
+                   modes=modes)
+
+
 def test_locking_mode_finds_fifo_lock():
     res = run_fuzzer(policy_preset("reth-fifo-reduced(3)"), OracleConfig(),
                      modes=("locking",), budget_mutations=2000)

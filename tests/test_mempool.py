@@ -1,9 +1,10 @@
 """Pool admission state machine and policy presets."""
 
+import enum
 import io
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterable, List
 
 import pytest
@@ -13,13 +14,13 @@ import mpfuzz.baselines as baselines
 from mpfuzz.baselines import run_baseline
 from mpfuzz.fuzzer import run_fuzzer
 from mpfuzz.mempool import (NORMAL_PRICE, NORMAL_VALUE, PRESET_FAMILIES,
-                            DeclineReason, EvictionRule, MempoolPolicy,
-                            MempoolState, TurningRule, VULNERABILITY_MATRIX,
-                            build_block, fill_normal, new_pool,
-                            policy_preset, walk)
+                            AdmissionOutcome, DeclineReason, EvictionRule,
+                            MempoolPolicy, MempoolState, TurningRule,
+                            VULNERABILITY_MATRIX, build_block, fill_normal,
+                            new_pool, policy_preset, walk)
 from mpfuzz.oracle import OracleConfig
-from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, ValidityClass,
-                            WorldState, adversarial, benign)
+from mpfuzz.txmodel import (GAS_PER_TX, Role, Transaction, WorldState,
+                            adversarial, benign)
 from test_properties import BIG
 
 
@@ -316,6 +317,33 @@ def test_policy_from_json_rejects_a_value_of_the_wrong_type(field, value):
         MempoolPolicy.from_json(dict(pol.to_json(), **{field: value}))
 
 
+# A value of the wrong type for each policy field: a bool or a float is
+# no int, an int or a string no bool, and a rule's value no rule (taken
+# as a rule, "PriceAny" would match none, and a full pool would evict
+# nothing).
+WRONG_TYPE = {
+    "name": 6,
+    "capacity": True,
+    "future_quota": 1.0,
+    "sender_limit": False,
+    "sender_limit_threshold": "5",
+    "eviction_rule": "PriceAny",
+    "turning_rule": "DemoteToFuture",
+    "replacement_allowed": 1,
+    "replacement_overdraft_guard": 0,
+    "reversal_guard": None,
+    "future_eviction_guard": "false",
+    "latent_admission_guard": 1,
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(MempoolPolicy)])
+def test_policy_rejects_a_value_of_the_wrong_type(field):
+    pol = policy_preset("geth-legacy-reduced(6)")
+    with pytest.raises(ValueError, match=f"field {field}\\b"):
+        replace(pol, **{field: WRONG_TYPE[field]})
+
+
 def test_preset_errors_name_the_preset_as_written():
     for fam in PRESET_FAMILIES:
         name = f"{fam}-reduced(0)"
@@ -405,6 +433,14 @@ def consecutive_chain(resident_nonces: Iterable[int], confirmed: int) -> int:
     return length
 
 
+class ValidityClass(enum.Enum):
+    PENDING = "Pending"
+    FUTURE = "Future"
+    OVERDRAFT = "Overdraft"
+    LATENT_OVERDRAFT = "LatentOverdraft"
+    REPLACEMENT = "Replacement"
+
+
 def classify(tx: Transaction, world: WorldState,
              resident: List[Transaction]) -> ValidityClass:
     """Classify an arriving transaction against the sender's resident set.
@@ -439,11 +475,43 @@ def residents(state, sender):
 def walk_chain(state, sender):
     """A sender's chain state from its resident list, walked afresh."""
     confirmed = state.world.confirmed_nonce(sender)
-    resident = residents(state, sender)
+    group = state.by_sender.get(sender, {})
+    resident = [e.tx for e in group.values()]
     run = consecutive_chain([t.nonce for t in resident], confirmed)
     value = sum(t.value for t in resident
                 if confirmed < t.nonce <= confirmed + run)
-    return (confirmed, run, value, len(state.sender_chain_entries(sender)))
+    prefix = 0
+    while prefix < run and not group[confirmed + 1 + prefix].is_future:
+        prefix += 1
+    return (confirmed, run, value, prefix)
+
+
+def plain_admit(state, tx):
+    """Reference: `admit_mut` as a dispatch on the arrival's validity
+    class, with `classify` for the class and `walk_chain` for the pending
+    prefix."""
+    pol = state.policy
+    cls = classify(tx, state.world, residents(state, tx.sender))
+    if cls is ValidityClass.REPLACEMENT:
+        return state._admit_replacement(tx)
+    if tx.nonce <= state.world.confirmed_nonce(tx.sender):
+        return state._decline(DeclineReason.STALE_NONCE)
+    # `classify` tells a future arrival before it checks the balance.
+    if cls is ValidityClass.OVERDRAFT or (
+            cls is ValidityClass.FUTURE and
+            tx.value > state.world.balance(tx.sender)):
+        return state._decline(DeclineReason.OVERDRAFT)
+    if cls is ValidityClass.LATENT_OVERDRAFT and pol.latent_admission_guard:
+        return state._decline(DeclineReason.LATENT_GUARD)
+    if cls is ValidityClass.FUTURE:
+        return state._admit_future(tx)
+    if walk_chain(state, tx.sender)[3] >= pol.sender_limit and \
+            state.pending_count > pol.sender_limit_threshold:
+        return state._decline(DeclineReason.SENDER_LIMIT)
+    if len(state.entries) < pol.capacity:
+        state._insert(tx, is_future=False)
+        return AdmissionOutcome("Admitted")
+    return state._admit_by_eviction(tx, arriving_future=False)
 
 
 SENDERS = (adversarial(1), adversarial(2), adversarial(3), benign(1),
@@ -467,8 +535,6 @@ def check_chain_cache(state):
 
 def check_indexes(state, tx):
     check_chain_cache(state)
-    assert state._classify(tx)[0] is classify(tx, state.world,
-                                              residents(state, tx.sender))
     assert state._chain_state(tx.sender) == walk_chain(state, tx.sender)
     for probe in victim_queries(tx):
         assert state._select_victim(probe) is scan_victim(state, probe)
@@ -546,6 +612,11 @@ POOL_OPS = st.lists(st.one_of(
 @example(family="openethereum", m=3,
          ops=[("tx", 4, 1, 2, 5), ("tx", 0, 1, 1, 7), ("tx", 1, 1, 3, 6),
               ("tx", 2, 1, 1, 4)])
+# A1's nonce 2 arrives future, and nonce 1 closes the gap under it,
+# evicting a benign resident: the run is two long, the pending prefix
+# one, so nonce 3 is under the sender limit of 2.
+@example(family="besu-legacy", m=3,
+         ops=[("tx", 0, 2, 1, 5), ("tx", 0, 0, 1, 4), ("tx", 0, 1, 1, 4)])
 def test_indexed_admission_equals_scans(family, m, ops):
     state = new_pool(policy_preset(f"{family}-reduced({m})"))
     fill_normal(state, m)
@@ -579,7 +650,12 @@ def test_indexed_admission_equals_scans(family, m, ops):
         check_indexes(state, tx)
         stale = tx.nonce <= confirmed and \
             (sender, tx.nonce) not in state.entries
+        # The pool admits with its chain cache; the reference, on a
+        # clone, classifies the arrival from the resident list.
+        ref = state.clone()
         out = state.admit_mut(tx)
+        assert out == plain_admit(ref, tx)
+        check_same_pool(state, ref)
         assert (out.reason is DeclineReason.STALE_NONCE) == stale
     while marks:
         mark, ref = marks.pop()

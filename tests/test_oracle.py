@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import partial
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from mpfuzz.mempool import (NORMAL_PRICE, PRESET_FAMILIES, build_block,
@@ -21,6 +22,14 @@ def test_defaults_are_exact_fractions():
     assert DEFAULT_LAMBDA == Fraction(46, 100)
     cfg = OracleConfig(epsilon=0.2)
     assert cfg.epsilon == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("threshold", ["epsilon", "lam"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_threshold_is_rejected(threshold, flag):
+    # True would read as 1, False as 0.
+    with pytest.raises(ValueError, match=f"threshold {threshold} "):
+        OracleConfig(**{threshold: flag})
 
 
 def test_format_ratio():

@@ -3,8 +3,8 @@
 import pytest
 
 from mpfuzz.txmodel import (GAS_PER_TX, Address, Role, Transaction,
-                            ValidityClass, WorldState, adversarial, benign)
-from test_mempool import classify, consecutive_chain
+                            WorldState, adversarial, benign)
+from test_mempool import ValidityClass, classify, consecutive_chain
 
 
 def test_address_roles_and_short():
